@@ -16,8 +16,9 @@ and metrics.  With --trace 0 the metrics are end to end (wall_s, setup_s,
 queries_per_s, peak_rss_mb); with --trace 1 untraced and traced
 repetitions alternate and the metrics are per layer.  The environment,
 per-repetition samples and check results go to
-.bench_out/<workload>/result-seed<N>-trace<T>.json, and the traced run's
-spans to spans-seed<N>.json beside it.
+.bench_out/<workload>/seed<N>-trace<T>/result.json, and the traced run's
+spans to spans.json beside it.  Each invocation clears and writes only its
+own directory there.
 """
 
 import os
@@ -290,10 +291,9 @@ def main(argv=None) -> int:
         return 2
 
     cfgs = workloads.configs(args.workload, args.seed)
-    out_dir = OUT / args.workload
-    for sub in ("runs", "replay"):
-        shutil.rmtree(out_dir / sub, ignore_errors=True)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = OUT / args.workload / f"seed{args.seed}-trace{args.trace}"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir.mkdir(parents=True)
     rng = np.random.default_rng([args.seed, WORKLOADS.index(args.workload)])
 
     # Finished repetitions keep only their summary, so peak RSS reflects one
@@ -351,10 +351,10 @@ def main(argv=None) -> int:
         "failures": [errs for errs in failures if errs],
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }
-    (out_dir / f"result-seed{args.seed}-trace{args.trace}.json").write_text(
+    (out_dir / "result.json").write_text(
         json.dumps(record, indent=1) + "\n")
     if args.trace:
-        (out_dir / f"spans-seed{args.seed}.json").write_text(json.dumps(
+        (out_dir / "spans.json").write_text(json.dumps(
             {"fields": ["name", "start", "end", "parent"], "spans": last.tracer.spans}))
 
     for name, (value, unit) in metrics.items():
