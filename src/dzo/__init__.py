@@ -8,19 +8,7 @@ certificates for the step-size conditions behind the convergence theory.
 """
 
 from .algorithms import ALGORITHMS, RunState, Schedule, StopRule, dgd2p_step, gt2d_step, run, vrgt_step
-from .estimators import (
-    COUNTING_MODES,
-    CoordinateSweep,
-    EstimatorBudget,
-    SnapshotState,
-    coordinate,
-    maybe_refresh_snapshot,
-    sample_sphere,
-    two_d_point,
-    two_point,
-    vr_ge,
-    vr_ge_budget,
-)
+from .estimators import COUNTING_MODES
 from .harness import (
     SUITES,
     ExperimentConfig,

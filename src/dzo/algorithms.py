@@ -12,23 +12,17 @@ Three algorithms, all advancing every agent in lockstep per round:
   with Bernoulli(p) snapshot refreshes; 4 + 2dp expected queries per agent
   per round in ``paper_faithful`` accounting (2 + 2dp in ``cached``), plus
   one 2d sweep per agent at initialization to seed the snapshots.
-
-Per round, vrgt: (1) mix-and-descend the iterates, (2) draw a uniform
-coordinate per agent, (3) draw the Bernoulli refresh indicator, (4) refresh
-fired snapshots at the new iterate, (5) build the variance-reduced estimate,
-(6) mix the tracker with the estimate increment.  Trackers start at zero
-together with the previous-estimate register, so mean(s) == mean(g) holds
-from round 0 and telescopes exactly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .estimators import SnapshotState, _check_mode
+from .estimators import SnapshotBlock, check_mode, sphere, sweep, two_point, vr_estimate
 from .metrics import MetricsRow, compute_metrics
 from .network import MixingMatrix, Topology, metropolis_weights
 from .oracle import ObjectiveSpec, ZerothOrderOracle
@@ -67,8 +61,6 @@ class Schedule:
                           stacklevel=2)
 
     def step_size_at(self, k: int) -> float:
-        if self.step_decay == 0.0:
-            return self.step_size
         return self.step_size / max(k, 1) ** self.step_decay
 
     def smoothing_at(self, k: int) -> float:
@@ -90,41 +82,6 @@ class StopRule:
             raise ValueError("stop limit must be at least 1")
 
 
-class SnapshotBlock:
-    """Stacked per-agent snapshots backing the variance-reduced estimator."""
-
-    def __init__(self, oracle: ZerothOrderOracle, x: np.ndarray, u: float):
-        n, d = x.shape
-        self.x_tilde = x.copy()
-        self.u_tilde = np.full(n, float(u))
-        self.f_plus = np.empty((n, d))
-        self.f_minus = np.empty((n, d))
-        self.full = np.empty((n, d))
-        self.capture_rows(oracle, np.arange(n), x, u)
-
-    def capture_rows(self, oracle: ZerothOrderOracle, rows: np.ndarray,
-                     x_rows: np.ndarray, u: float) -> None:
-        """Refresh the given agents' snapshots at (x_rows, u); 2d queries each."""
-        d = x_rows.shape[1]
-        pts = np.repeat(x_rows[:, None, :], 2 * d, axis=1)
-        idx = np.arange(d)
-        pts[:, idx, idx] += u
-        pts[:, d + idx, idx] -= u
-        vals = oracle.evaluate_rows(rows, pts)
-        self.x_tilde[rows] = x_rows
-        self.u_tilde[rows] = u
-        self.f_plus[rows] = vals[:, :d]
-        self.f_minus[rows] = vals[:, d:]
-        self.full[rows] = (vals[:, :d] - vals[:, d:]) / (2.0 * u)
-
-    def get(self, agent: int) -> SnapshotState:
-        return SnapshotState(x_tilde=self.x_tilde[agent].copy(),
-                             u_tilde=float(self.u_tilde[agent]),
-                             f_plus=self.f_plus[agent].copy(),
-                             f_minus=self.f_minus[agent].copy(),
-                             full=self.full[agent].copy())
-
-
 @dataclass
 class RunState:
     """Mutable state of one run.  A run owns its oracle and rng stream."""
@@ -136,20 +93,7 @@ class RunState:
     s: np.ndarray | None = None        # (N, d) trackers
     g_prev: np.ndarray | None = None   # (N, d) previous estimates
     snapshots: SnapshotBlock | None = None
-    last_refreshes: int = field(default=0)
-
-
-def _coord_quotients(oracle: ZerothOrderOracle, x: np.ndarray, u: np.ndarray,
-                     l: np.ndarray) -> np.ndarray:
-    """Central-difference quotients along coordinate l[i] at row i; 2 queries
-    per agent.  u is per-agent."""
-    n, d = x.shape
-    rows = np.arange(n)
-    pts = np.repeat(x[:, None, :], 2, axis=1)
-    pts[rows, 0, l] += u
-    pts[rows, 1, l] -= u
-    vals = oracle.evaluate_rows(rows, pts)
-    return (vals[:, 0] - vals[:, 1]) / (2.0 * u)
+    last_refreshes: int = 0
 
 
 def init_dgd2p(oracle: ZerothOrderOracle, x0: np.ndarray,
@@ -161,14 +105,7 @@ def init_gt2d(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
               rng: np.random.Generator) -> RunState:
     """Seed the tracker with the round-0 sweep (2d queries per agent) so the
     tracking identity holds from the start."""
-    n, d = x0.shape
-    u0 = schedule.smoothing_at(0)
-    pts = np.repeat(x0[:, None, :], 2 * d, axis=1)
-    idx = np.arange(d)
-    pts[:, idx, idx] += u0
-    pts[:, d + idx, idx] -= u0
-    vals = oracle.evaluate_block(pts)
-    g0 = (vals[:, :d] - vals[:, d:]) / (2.0 * u0)
+    g0, _ = sweep(oracle, np.arange(len(x0)), x0, schedule.smoothing_at(0))
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng, s=g0.copy(), g_prev=g0)
 
 
@@ -176,10 +113,9 @@ def init_vrgt(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
               rng: np.random.Generator) -> RunState:
     """Snapshots start at the initial iterate (one 2d sweep per agent);
     trackers and previous estimates start at zero."""
-    n, d = x0.shape
     snapshots = SnapshotBlock(oracle, x0, schedule.smoothing_at(0))
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng,
-                    s=np.zeros((n, d)), g_prev=np.zeros((n, d)), snapshots=snapshots)
+                    s=np.zeros_like(x0), g_prev=np.zeros_like(x0), snapshots=snapshots)
 
 
 def dgd2p_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
@@ -188,16 +124,7 @@ def dgd2p_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
     n, d = state.x.shape
     u = schedule.smoothing_at(state.k)
     eta = schedule.step_size_at(state.k)
-    z = state.rng.standard_normal((n, d))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    while np.any(norms == 0.0):  # probability-zero guard
-        bad = norms[:, 0] == 0.0
-        z[bad] = state.rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    z /= norms
-    pts = np.stack([state.x + u * z, state.x - u * z], axis=1)
-    vals = oracle.evaluate_block(pts)
-    grad_est = d * ((vals[:, 0] - vals[:, 1]) / (2.0 * u))[:, None] * z
+    grad_est = two_point(oracle, np.arange(n), state.x, u, sphere(state.rng, n, d))
     state.x = w.w @ (state.x - eta * grad_est)
     state.k += 1
     return state
@@ -209,16 +136,10 @@ def gt2d_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
     per agent (the previous sweep is reused, not recomputed)."""
     if state.s is None or state.g_prev is None:
         raise ValueError("gt2d state not initialized; use init_gt2d")
-    n, d = state.x.shape
     alpha = schedule.step_size_at(state.k)
     u_next = schedule.smoothing_at(state.k + 1)
     x_new = w.w @ (state.x - alpha * state.s)
-    pts = np.repeat(x_new[:, None, :], 2 * d, axis=1)
-    idx = np.arange(d)
-    pts[:, idx, idx] += u_next
-    pts[:, d + idx, idx] -= u_next
-    vals = oracle.evaluate_block(pts)
-    g_new = (vals[:, :d] - vals[:, d:]) / (2.0 * u_next)
+    g_new, _ = sweep(oracle, np.arange(len(x_new)), x_new, u_next)
     state.s = w.w @ (state.s + g_new - state.g_prev)
     state.x = x_new
     state.g_prev = g_new
@@ -229,8 +150,13 @@ def gt2d_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
 def vrgt_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
               schedule: Schedule, p: float,
               counting_mode: str = "paper_faithful") -> RunState:
-    """One variance-reduced gradient-tracking round."""
-    _check_mode(counting_mode)
+    """One variance-reduced gradient-tracking round: (1) mix-and-descend the
+    iterates, (2) draw a uniform coordinate per agent, (3) draw the
+    Bernoulli refresh indicator, (4) refresh fired snapshots at the new
+    iterate, (5) build the variance-reduced estimate, (6) mix the tracker
+    with the estimate increment.  Trackers start at zero together with the
+    previous-estimate register, so mean(s) == mean(g) holds from round 0."""
+    check_mode(counting_mode)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
     if state.s is None or state.g_prev is None or state.snapshots is None:
@@ -239,22 +165,13 @@ def vrgt_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
     snap = state.snapshots
     alpha = schedule.step_size_at(state.k)
     u_next = schedule.smoothing_at(state.k + 1)
-    rows = np.arange(n)
 
     x_new = w.w @ (state.x - alpha * state.s)
     l = state.rng.integers(0, d, size=n)
-    fired = state.rng.random(n) < p
-    hit = np.flatnonzero(fired)
+    hit = np.flatnonzero(state.rng.random(n) < p)
     if hit.size:
         snap.capture_rows(oracle, hit, x_new[hit], u_next)
-
-    q_x = _coord_quotients(oracle, x_new, np.full(n, u_next), l)
-    if counting_mode == "paper_faithful":
-        q_snap = _coord_quotients(oracle, snap.x_tilde, snap.u_tilde, l)
-    else:
-        q_snap = (snap.f_plus[rows, l] - snap.f_minus[rows, l]) / (2.0 * snap.u_tilde)
-    g = snap.full.copy()
-    g[rows, l] += d * q_x - d * q_snap
+    g = vr_estimate(oracle, snap, x_new, u_next, l, counting_mode)
 
     state.s = w.w @ (state.s + g - state.g_prev)
     state.x = x_new
@@ -279,8 +196,10 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if topology.n_agents != spec.n_agents:
         raise ValueError("topology and objective disagree on the number of agents")
-    if algorithm == "vrgt" and not 0.0 <= p <= 1.0:
-        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
+    if algorithm == "vrgt":
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
+        check_mode(counting_mode)
 
     w = metropolis_weights(topology)
     oracle = ZerothOrderOracle(spec)
@@ -293,24 +212,15 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
     rng = np.random.default_rng(ss_rounds)
 
     if algorithm == "dgd2p":
-        state = init_dgd2p(oracle, x0, rng)
+        state, step = init_dgd2p(oracle, x0, rng), dgd2p_step
     elif algorithm == "gt2d":
-        state = init_gt2d(oracle, x0, schedule, rng)
+        state, step = init_gt2d(oracle, x0, schedule, rng), gt2d_step
     else:
         state = init_vrgt(oracle, x0, schedule, rng)
+        step = partial(vrgt_step, p=p, counting_mode=counting_mode)
 
     rows: list[MetricsRow] = []
-    while True:
-        if stop.kind == "rounds":
-            if state.k >= stop.limit:
-                break
-        elif oracle.total_queries >= stop.limit:
-            break
-        if algorithm == "dgd2p":
-            dgd2p_step(state, w, oracle, schedule)
-        elif algorithm == "gt2d":
-            gt2d_step(state, w, oracle, schedule)
-        else:
-            vrgt_step(state, w, oracle, schedule, p, counting_mode)
+    while (state.k if stop.kind == "rounds" else oracle.total_queries) < stop.limit:
+        step(state, w, oracle, schedule)
         rows.append(compute_metrics(state, spec))
     return rows

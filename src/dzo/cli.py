@@ -25,7 +25,7 @@ import numpy as np
 
 from . import harness, theory
 from .algorithms import Schedule, StopRule, run
-from .estimators import SnapshotState, two_d_point, vr_ge
+from .estimators import SnapshotBlock, sweep, vr_estimate
 from .network import build_topology, metropolis_weights, mix
 from .oracle import ZerothOrderOracle, make_benchmark
 
@@ -101,13 +101,13 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     # Estimator identities on a small benchmark instance.
     spec = make_benchmark(1, 6, seed=3)
     oracle = ZerothOrderOracle(spec)
-    x = rng.standard_normal(6)
-    snap = SnapshotState.capture(oracle, 0, x + 0.1, 0.05)
-    sweep = two_d_point(oracle, 0, x, 0.03)
-    avg = np.mean([vr_ge(oracle, 0, x, 0.03, snap, l) for l in range(6)], axis=0)
+    x = rng.standard_normal((1, 6))
+    snap = SnapshotBlock(oracle, x + 0.1, 0.05)
+    full, _ = sweep(oracle, np.array([0]), x, 0.03)
+    avg = np.mean([vr_estimate(oracle, snap, x, 0.03, np.array([l]), "paper_faithful")
+                   for l in range(6)], axis=0)
     check("variance-reduced estimate averages to the full sweep",
-          bool(np.linalg.norm(avg - sweep.estimate)
-               <= 1e-10 * max(1.0, np.linalg.norm(sweep.estimate))))
+          bool(np.linalg.norm(avg - full) <= 1e-10 * max(1.0, np.linalg.norm(full))))
 
     # Tracking identity over a short tracked run.
     rows = run("vrgt", build_topology("ring", 6), make_benchmark(6, 8, seed=1),

@@ -1,32 +1,21 @@
-"""Zeroth-order gradient estimators and snapshot machinery.
+"""Zeroth-order gradient estimators, batched over stacked agent rows.
 
-Four estimators over a counted oracle, for an agent objective h:
+Each estimator takes one point per row, ``x`` of shape (n, d), row i
+belonging to agent ``rows[i]`` (agent i where no ``rows`` is taken), and
+charges the oracle through ``ZerothOrderOracle.evaluate_rows``: 2 queries
+per row for ``two_point`` and ``coord_pair``, 2d for ``sweep``.  Sweeps and
+coordinate pairs share one ±u·e_l stencil, so its query charge is decided
+in one place.
 
-* ``two_point``      -- d * (h(x+uz) - h(x-uz)) / (2u) * z, z uniform on the
-                        unit sphere; 2 queries.
-* ``two_d_point``    -- full coordinate central differences, one term per
-                        basis direction; 2d queries, deterministic.
-* ``coordinate``     -- a single coordinate's central difference scaled by d;
-                        2 queries; its uniform average over coordinates equals
-                        the full sweep exactly.
-* ``vr_ge``          -- variance-reduced estimate: coordinate estimate at the
-                        iterate, minus the coordinate estimate at a frozen
-                        snapshot point, plus the cached full sweep at the
-                        snapshot.  Conditionally unbiased for the full sweep
-                        at the iterate.
-
-Snapshots cache the 2d function values taken at the snapshot point, so the
-frozen full sweep is never recomputed between refreshes.  Query accounting
-for ``vr_ge`` has two modes: ``paper_faithful`` re-queries the snapshot
-coordinate pair (4 fresh queries per construction, 4 + 2dp on average with
-refresh probability p), while ``cached`` serves it from the stored values
-(2 fresh queries).  Both modes return bit-identical estimates.
+``vr_estimate`` corrects the cached sweep at a frozen snapshot point (a
+``SnapshotBlock`` row) on one coordinate; it is conditionally unbiased for
+the sweep at the iterate.  ``paper_faithful`` accounting re-queries the
+snapshot coordinate pair (4 fresh queries per row, 4 + 2dp on average with
+refresh probability p); ``cached`` serves it from the stored sweep values
+(2 + 2dp).  Both modes return bit-identical estimates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,165 +24,101 @@ from .oracle import ZerothOrderOracle
 COUNTING_MODES = ("paper_faithful", "cached")
 
 
-def _check_mode(counting_mode: str) -> None:
+def check_mode(counting_mode: str) -> None:
     if counting_mode not in COUNTING_MODES:
         raise ValueError(f"counting_mode must be one of {COUNTING_MODES}, got {counting_mode!r}")
 
 
-@dataclass(frozen=True)
-class EstimatorBudget:
-    """Fresh-query cost of one estimator construction."""
-
-    fresh_queries: int
-    counting_mode: str
-
-    def __post_init__(self) -> None:
-        _check_mode(self.counting_mode)
-        if self.fresh_queries < 0:
-            raise ValueError("fresh_queries must be nonnegative")
-
-
-def vr_ge_budget(d: int, refreshed: bool, counting_mode: str = "paper_faithful") -> EstimatorBudget:
-    """Per-construction fresh-query count, including a refresh sweep if taken."""
-    _check_mode(counting_mode)
-    base = 4 if counting_mode == "paper_faithful" else 2
-    return EstimatorBudget(fresh_queries=base + (2 * d if refreshed else 0),
-                           counting_mode=counting_mode)
+def sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n uniform draws from the unit sphere in R^d, (n, d): normalized
+    Gaussians, redrawing any zero row."""
+    z = rng.standard_normal((n, d))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    while np.any(norms == 0.0):  # probability-zero guard
+        bad = norms[:, 0] == 0.0
+        z[bad] = rng.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    return z / norms
 
 
-class CoordinateSweep(NamedTuple):
-    """Full central-difference sweep plus the raw evaluations behind it."""
-
-    estimate: np.ndarray   # (d,)
-    f_plus: np.ndarray     # (d,), h(x + u e_l)
-    f_minus: np.ndarray    # (d,), h(x - u e_l)
-
-
-def sample_sphere(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform draw from the unit sphere (normalized Gaussian; redraw on a
-    zero vector)."""
-    while True:
-        g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            return g / norm
-
-
-def two_point(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float,
+def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: float,
               z: np.ndarray) -> np.ndarray:
-    """Random-direction difference quotient scaled by d; 2 queries."""
-    if u <= 0.0:
-        raise ValueError(f"smoothing radius must be positive, got {u}")
-    z = np.asarray(z, dtype=float)
-    if abs(np.linalg.norm(z) - 1.0) > 1e-12:
-        raise ValueError("direction z must be a unit vector")
-    d = oracle.spec.dim
-    fp = oracle.evaluate(agent, x + u * z)
-    fm = oracle.evaluate(agent, x - u * z)
-    return d * ((fp - fm) / (2.0 * u)) * z
+    """Difference quotients along the unit rows of z, scaled by d; (n, d)."""
+    d = x.shape[1]
+    vals = oracle.evaluate_rows(rows, np.stack([x + u * z, x - u * z], axis=1))
+    return d * ((vals[:, 0] - vals[:, 1]) / (2.0 * u))[:, None] * z
 
 
-def two_d_point(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float) -> CoordinateSweep:
-    """Coordinate-wise central differences in all d directions; 2d queries."""
-    if u <= 0.0:
-        raise ValueError(f"smoothing radius must be positive, got {u}")
-    d = oracle.spec.dim
-    x = np.asarray(x, dtype=float)
-    pts = np.tile(x, (1, 2 * d, 1))
-    idx = np.arange(d)
-    pts[0, idx, idx] += u
-    pts[0, d + idx, idx] -= u
-    vals = oracle.evaluate_rows(np.array([agent]), pts)[0]
-    f_plus, f_minus = vals[:d], vals[d:]
-    return CoordinateSweep(estimate=(f_plus - f_minus) / (2.0 * u),
-                           f_plus=f_plus, f_minus=f_minus)
+def _stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
+             coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences at row i along each coordinate in coords[i].
+
+    coords is (n, m), or (1, m) shared by every row.  u is a scalar or one
+    radius per row.  Returns the (n, m) quotients and the raw (n, 2m)
+    values, h(x + u e_c) for every c first, then h(x - u e_c).
+    """
+    (n, d), m = x.shape, coords.shape[1]
+    u = u[:, None] if isinstance(u, np.ndarray) else u
+    pts = np.repeat(x[:, None, :], 2 * m, axis=1)
+    # Flat offsets of (i, j, coords[i, j]) index faster than three index arrays.
+    at = coords + np.arange(0, n * 2 * m * d, 2 * m * d)[:, None] + np.arange(0, m * d, d)
+    flat = pts.reshape(-1)
+    flat[at] += u
+    flat[at + m * d] -= u
+    vals = oracle.evaluate_rows(rows, pts)
+    return (vals[:, :m] - vals[:, m:]) / (2.0 * u), vals
 
 
-def coordinate(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float,
-               l: int) -> np.ndarray:
-    """Single-coordinate central difference scaled by d; 2 queries."""
-    if u <= 0.0:
-        raise ValueError(f"smoothing radius must be positive, got {u}")
-    d = oracle.spec.dim
-    if not 0 <= l < d:
-        raise IndexError(f"coordinate index {l} out of range for dim {d}")
-    x = np.asarray(x, dtype=float)
-    xp = x.copy()
-    xp[l] += u
-    xm = x.copy()
-    xm[l] -= u
-    fp = oracle.evaluate(agent, xp)
-    fm = oracle.evaluate(agent, xm)
-    out = np.zeros(d)
-    out[l] = d * ((fp - fm) / (2.0 * u))
-    return out
+def sweep(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray,
+          u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Full coordinate sweep: the (n, d) estimate and the raw (n, 2d) values
+    [h(x + u e_0), ..., h(x + u e_{d-1}), h(x - u e_0), ...]."""
+    return _stencil(oracle, rows, x, u, np.arange(x.shape[1])[None])
 
 
-@dataclass(frozen=True)
-class SnapshotState:
-    """Frozen point x_tilde with its smoothing radius and cached sweep.
+def coord_pair(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
+               l: np.ndarray) -> np.ndarray:
+    """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,)."""
+    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[0][:, 0]
 
-    full[l] == (f_plus[l] - f_minus[l]) / (2 u_tilde) by construction; the
-    cache lets both the full sweep and any coordinate term at the snapshot be
-    served without new queries.
+
+class SnapshotBlock:
+    """Per-agent snapshot points x_tilde, their radii u_tilde, the sweep
+    ``full`` taken there and the raw ``values`` behind it.
+
+    full[i, l] == (values[i, l] - values[i, d + l]) / (2 u_tilde[i]) by
+    construction, so coordinate terms at a snapshot need no new queries.
     """
 
-    x_tilde: np.ndarray
-    u_tilde: float
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    full: np.ndarray
+    def __init__(self, oracle: ZerothOrderOracle, x: np.ndarray, u: float):
+        self.x_tilde = x.copy()
+        self.u_tilde = np.full(len(x), float(u))
+        self.full, self.values = sweep(oracle, np.arange(len(x)), x, u)
 
-    def __post_init__(self) -> None:
-        if self.u_tilde <= 0.0:
-            raise ValueError("snapshot smoothing radius must be positive")
-        expect = (self.f_plus - self.f_minus) / (2.0 * self.u_tilde)
-        if not np.array_equal(expect, self.full):
-            raise ValueError("snapshot cache is inconsistent with its stored evaluations")
-
-    @classmethod
-    def capture(cls, oracle: ZerothOrderOracle, agent: int, x: np.ndarray,
-                u: float) -> "SnapshotState":
-        """Take a fresh snapshot at (x, u); 2d queries."""
-        sweep = two_d_point(oracle, agent, x, u)
-        return cls(x_tilde=np.array(x, dtype=float), u_tilde=float(u),
-                   f_plus=sweep.f_plus, f_minus=sweep.f_minus, full=sweep.estimate)
-
-    def coordinate_term(self, l: int) -> np.ndarray:
-        """Coordinate estimate at the snapshot, served from the cache."""
-        d = self.full.shape[0]
-        out = np.zeros(d)
-        out[l] = d * ((self.f_plus[l] - self.f_minus[l]) / (2.0 * self.u_tilde))
-        return out
+    def capture_rows(self, oracle: ZerothOrderOracle, rows: np.ndarray,
+                     x_rows: np.ndarray, u: float) -> None:
+        """Refresh the given agents' snapshots at (x_rows, u); 2d queries each."""
+        self.x_tilde[rows] = x_rows
+        self.u_tilde[rows] = u
+        self.full[rows], self.values[rows] = sweep(oracle, rows, x_rows, u)
 
 
-def vr_ge(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float,
-          snapshot: SnapshotState, l: int,
-          counting_mode: str = "paper_faithful") -> np.ndarray:
-    """Variance-reduced estimate at (x, u) against a snapshot.
+def vr_estimate(oracle: ZerothOrderOracle, snap: SnapshotBlock, x: np.ndarray, u: float,
+                l: np.ndarray, counting_mode: str) -> np.ndarray:
+    """Variance-reduced estimate at (x, u) for every agent; (n, d).
 
-    coordinate(x, u, l) - coordinate(x_tilde, u_tilde, l) + full(x_tilde).
-    Averaged uniformly over l this equals the full sweep at (x, u).
+    full(x_tilde) + d * (quotient(x, u, l) - quotient(x_tilde, u_tilde, l))
+    on coordinate l[i].  Averaged uniformly over l this equals the sweep at
+    (x, u).  The variance bound assumes u <= u_tilde, which non-increasing
+    schedules guarantee.
     """
-    _check_mode(counting_mode)
-    if u <= 0.0:
-        raise ValueError(f"smoothing radius must be positive, got {u}")
-    # Schedules are non-increasing, so u <= u_tilde holds by construction;
-    # the variance bound assumes it.
-    assert u <= snapshot.u_tilde * (1.0 + 1e-12), "smoothing radius exceeds snapshot radius"
-    at_x = coordinate(oracle, agent, x, u, l)
+    n, d = x.shape
+    rows = np.arange(n)
+    q_x = coord_pair(oracle, rows, x, u, l)
     if counting_mode == "paper_faithful":
-        at_snap = coordinate(oracle, agent, snapshot.x_tilde, snapshot.u_tilde, l)
+        q_snap = coord_pair(oracle, rows, snap.x_tilde, snap.u_tilde, l)
     else:
-        at_snap = snapshot.coordinate_term(l)
-    return at_x - at_snap + snapshot.full
-
-
-def maybe_refresh_snapshot(snapshot: SnapshotState, zeta: bool, x: np.ndarray,
-                           u: float, oracle: ZerothOrderOracle,
-                           agent: int) -> SnapshotState:
-    """Replace the snapshot with a fresh capture at (x, u) when zeta fires
-    (2d queries), otherwise return it unchanged (0 queries)."""
-    if not zeta:
-        return snapshot
-    return SnapshotState.capture(oracle, agent, x, u)
+        q_snap = (snap.values[rows, l] - snap.values[rows, d + l]) / (2.0 * snap.u_tilde)
+    g = snap.full.copy()
+    g[rows, l] += d * q_x - d * q_snap
+    return g

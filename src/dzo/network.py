@@ -65,8 +65,10 @@ class MixingMatrix:
     """Symmetric doubly stochastic weights with cached contraction rate sigma.
 
     sigma is the largest singular value of W - (1/N) 11^T.  Validation
-    rejects matrices whose row or column sums deviate from 1 by more than
-    1e-12, or whose sigma is not strictly below 1.
+    rejects matrices that are not square, finite and symmetric, or whose
+    row or column sums deviate from 1 by more than 1e-12.  sigma itself is
+    not checked: it may equal 1 (e.g. for the identity), and such a matrix
+    does not contract.
     """
 
     w: np.ndarray

@@ -242,12 +242,6 @@ class ZerothOrderOracle:
         np.add.at(self.query_count, agents, points.shape[1])
         return _values_rows(self.spec, agents, points)
 
-    def evaluate_block(self, points: np.ndarray) -> np.ndarray:
-        """All-agent batch: points[i, m, :] against agent i; (N, m)."""
-        if points.shape[0] != self.spec.n_agents:
-            raise ValueError("block must have one row of points per agent")
-        return self.evaluate_rows(np.arange(self.spec.n_agents), points)
-
 
 def estimate_smoothness(spec: ObjectiveSpec, seed: int = 0, pairs: int = 16,
                         safety: float = 1.5) -> float:

@@ -10,10 +10,21 @@ import pytest
 
 import dzo
 from dzo.algorithms import Schedule, StopRule, init_gt2d, init_vrgt, gt2d_step, vrgt_step
-from dzo.estimators import SnapshotState, coordinate, two_d_point, vr_ge
+from dzo.estimators import SnapshotBlock, coord_pair, sweep, vr_estimate
 from dzo.harness import fit_decay_rate, run_experiment, suite_configs, run_config
 from dzo.oracle import ZerothOrderOracle, analytic_grad, estimate_smoothness, make_benchmark
 from dzo.theory import certify_contraction, contraction_step_limit, estimator_variance_limit
+
+
+ROW = np.array([0])   # the criteria use single-agent oracles: one row, agent 0
+
+
+def _vr(oracle, snap, x, u, l):
+    return vr_estimate(oracle, snap, x[None], u, np.array([l]), "paper_faithful")[0]
+
+
+def _full_sweep(oracle, x, u):
+    return sweep(oracle, ROW, x[None], u)[0][0]
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -32,11 +43,10 @@ def test_criterion_01_vr_ge_unbiasedness():
         xt = rng.standard_normal(d)
         ut = rng.uniform(0.02, 0.2)
         u = ut * rng.uniform(0.1, 1.0)
-        snap = SnapshotState.capture(oracle, 0, xt, ut)
-        avg = np.mean([vr_ge(oracle, 0, x, u, snap, l) for l in range(d)], axis=0)
-        sweep = two_d_point(oracle, 0, x, u)
-        worst = max(worst, np.linalg.norm(avg - sweep.estimate)
-                    / np.linalg.norm(sweep.estimate))
+        snap = SnapshotBlock(oracle, xt[None], ut)
+        avg = np.mean([_vr(oracle, snap, x, u, l) for l in range(d)], axis=0)
+        full = _full_sweep(oracle, x, u)
+        worst = max(worst, np.linalg.norm(avg - full) / np.linalg.norm(full))
     _verdict(1, "variance-reduced estimate is conditionally unbiased",
              worst < 1e-10, f"max rel err {worst:.2e}")
 
@@ -50,10 +60,12 @@ def test_criterion_02_coordinate_full_sweep_identity():
         oracle = ZerothOrderOracle(spec)
         x = rng.standard_normal(d)
         u = rng.uniform(1e-3, 0.5)
-        avg = np.mean([coordinate(oracle, 0, x, u, l) for l in range(d)], axis=0)
-        sweep = two_d_point(oracle, 0, x, u)
-        worst = max(worst, np.max(np.abs(avg - sweep.estimate))
-                    / max(1.0, np.abs(sweep.estimate).max()))
+        terms = np.zeros((d, d))
+        for l in range(d):
+            terms[l, l] = d * coord_pair(oracle, ROW, x[None], u, np.array([l]))[0]
+        avg = np.mean(terms, axis=0)
+        full = _full_sweep(oracle, x, u)
+        worst = max(worst, np.max(np.abs(avg - full)) / max(1.0, np.abs(full).max()))
     _verdict(2, "coordinate estimates average to the full sweep",
              worst <= 1e-12, f"max err {worst:.2e}")
 
@@ -70,8 +82,7 @@ def test_criterion_03_full_sweep_error_bound():
             bound = 0.5 * u * lhat * np.sqrt(d)
             for _ in range(50):
                 x = rng.standard_normal(d)
-                err = np.linalg.norm(two_d_point(oracle, 0, x, u).estimate
-                                     - analytic_grad(spec, 0, x))
+                err = np.linalg.norm(_full_sweep(oracle, x, u) - analytic_grad(spec, 0, x))
                 ok &= err <= bound
                 worst_margin = min(worst_margin, bound - err)
     _verdict(3, "full sweep within half u L sqrt(d) of the gradient",
@@ -91,10 +102,9 @@ def test_criterion_04_variance_envelope():
         xt = rng.standard_normal(d)
         ut = rng.uniform(0.02, 0.25)
         u = ut * rng.uniform(0.1, 1.0)
-        snap = SnapshotState.capture(oracle, 0, xt, ut)
+        snap = SnapshotBlock(oracle, xt[None], ut)
         grad = analytic_grad(spec, 0, x)
-        mse = np.mean([np.sum((vr_ge(oracle, 0, x, u, snap, l) - grad) ** 2)
-                       for l in range(d)])
+        mse = np.mean([np.sum((_vr(oracle, snap, x, u, l) - grad) ** 2) for l in range(d)])
         for y in (xt, (x + xt) / 2.0):
             limit = estimator_variance_limit(d, lhat, float(np.linalg.norm(x - y)),
                                              float(np.linalg.norm(xt - y)), ut)

@@ -13,9 +13,9 @@ from dzo.algorithms import (
     run,
     vrgt_step,
 )
-from dzo.estimators import SnapshotState, vr_ge
 from dzo.network import MixingMatrix, build_topology, metropolis_weights
 from dzo.oracle import ZerothOrderOracle, make_benchmark, make_linear, make_quadratic, stacked_grads
+from per_agent_reference import SnapshotState, snapshot_of, vr_ge
 
 
 def single_agent_weights():
@@ -156,10 +156,10 @@ def test_vrgt_round_matches_per_agent_estimators():
     rng = np.random.default_rng(31)
     x0 = shared_start(d, n, seed=30)
     state = init_vrgt(oracle, x0, sch, rng)
-    snaps0 = [state.snapshots.get(i) for i in range(n)]
+    snaps0 = [snapshot_of(state.snapshots, i) for i in range(n)]
     vrgt_step(state, w, oracle, sch, p=0.5)
 
-    # Replay the same round by hand with the public per-agent estimators.
+    # Replay the same round by hand with the naive per-agent estimators.
     rng2 = np.random.default_rng(31)
     oracle2 = ZerothOrderOracle(spec)
     u1 = sch.smoothing_at(1)
@@ -201,7 +201,7 @@ def test_vrgt_p1_equals_fresh_sweep_tracking():
         pts = np.repeat(x[:, None, :], 2 * d, axis=1)
         pts[:, idx, idx] += u_next
         pts[:, d + idx, idx] -= u_next
-        vals = oracle_ref.evaluate_block(pts)
+        vals = oracle_ref.evaluate_rows(np.arange(n), pts)
         g = (vals[:, :d] - vals[:, d:]) / (2.0 * u_next)
         s = w.w @ (s + g - g_prev)
         g_prev = g
@@ -317,7 +317,7 @@ def test_suite_scale_trends_and_midbudget_ordering():
     assert finals["gt2d"] < finals["dgd2p"]
 
 
-def test_run_validation():
+def test_run_validation(monkeypatch):
     topo = build_topology("ring", 4)
     spec = make_benchmark(4, 3, seed=2)
     sch = Schedule(step_size=0.02)
@@ -333,3 +333,27 @@ def test_run_validation():
                            rng=np.random.default_rng(0)),
                   metropolis_weights(build_topology("complete", 2)),
                   ZerothOrderOracle(make_benchmark(2, 2, seed=0)), sch, p=0.5)
+
+    # A bad counting mode is rejected before the initial snapshot sweep.
+    def no_queries(*args):
+        raise AssertionError("oracle queried before the counting mode was checked")
+
+    monkeypatch.setattr(ZerothOrderOracle, "evaluate_rows", no_queries)
+    with pytest.raises(ValueError, match="counting_mode"):
+        run("vrgt", topo, spec, sch, StopRule("rounds", 5), seed=0, counting_mode="lazy")
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_vrgt_snapshot_radius_never_below_round_radius(p):
+    # The variance bound of the estimate needs u <= u_tilde; it holds because
+    # Schedule only allows non-increasing radii (u_decay in (0, 1]).
+    n, d = 4, 5
+    w = metropolis_weights(build_topology("ring", n))
+    spec = make_benchmark(n, d, seed=8)
+    for sch in (Schedule(step_size=0.03), Schedule(step_size=0.03, u0=0.5, u_decay=1.0)):
+        oracle = ZerothOrderOracle(spec)
+        state = init_vrgt(oracle, shared_start(d, n, seed=3), sch, np.random.default_rng(4))
+        for _ in range(60):
+            assert np.all(state.snapshots.u_tilde >= sch.smoothing_at(state.k + 1))
+            vrgt_step(state, w, oracle, sch, p=p)
+        assert np.all(state.snapshots.u_tilde >= sch.smoothing_at(state.k + 1))

@@ -3,18 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dzo.estimators import (
-    CoordinateSweep,
-    EstimatorBudget,
-    SnapshotState,
-    coordinate,
-    maybe_refresh_snapshot,
-    sample_sphere,
-    two_d_point,
-    two_point,
-    vr_ge,
-    vr_ge_budget,
-)
+from dzo.estimators import SnapshotBlock, coord_pair, sphere, sweep, two_point, vr_estimate
 from dzo.oracle import (
     ZerothOrderOracle,
     analytic_grad,
@@ -24,6 +13,8 @@ from dzo.oracle import (
     make_quadratic,
 )
 
+ROW = np.array([0])   # single-agent oracles: one row, agent 0
+
 
 def quad_oracle(d, diag=None):
     diag = np.ones(d) if diag is None else np.asarray(diag, dtype=float)
@@ -31,68 +22,70 @@ def quad_oracle(d, diag=None):
     return ZerothOrderOracle(spec)
 
 
+def coordinate_estimate(oracle, x, u, l):
+    """Single-coordinate estimate d * quotient placed at coordinate l; (d,)."""
+    d = x.shape[0]
+    out = np.zeros(d)
+    out[l] = d * coord_pair(oracle, ROW, x[None], u, np.array([l]))[0]
+    return out
+
+
+def vr(oracle, snap, x, u, l, counting_mode="paper_faithful"):
+    return vr_estimate(oracle, snap, x[None], u, np.array([l]), counting_mode)[0]
+
+
 def test_two_point_linear_exact():
     oracle = ZerothOrderOracle(make_linear(1, 3, coef=[[1.0, 0.0, 0.0]]))
-    z = np.array([1.0, 0.0, 0.0])
+    z = np.array([[1.0, 0.0, 0.0]])
     for u in (0.01, 0.5, 2.0):
-        np.testing.assert_allclose(two_point(oracle, 0, np.zeros(3), u, z),
-                                   [3.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(two_point(oracle, ROW, np.zeros((1, 3)), u, z),
+                                   [[3.0, 0.0, 0.0]], atol=1e-12)
 
 
 def test_two_point_symmetric_cancellation():
     oracle = quad_oracle(4)
     rng = np.random.default_rng(0)
-    z = sample_sphere(rng, 4)
-    np.testing.assert_allclose(two_point(oracle, 0, np.zeros(4), 0.3, z),
-                               np.zeros(4), atol=1e-14)
+    z = sphere(rng, 1, 4)
+    np.testing.assert_allclose(two_point(oracle, ROW, np.zeros((1, 4)), 0.3, z),
+                               np.zeros((1, 4)), atol=1e-14)
 
 
 def test_two_point_hand_value():
     # f(x) = x_1^2 in two dimensions: d * (1.1^2 - 0.9^2) / 0.2 = 4 along e_1.
     oracle = quad_oracle(2, diag=[2.0, 0.0])
-    got = two_point(oracle, 0, np.array([1.0, 0.0]), 0.1, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(got, [4.0, 0.0], atol=1e-12)
+    got = two_point(oracle, ROW, np.array([[1.0, 0.0]]), 0.1, np.array([[1.0, 0.0]]))
+    np.testing.assert_allclose(got, [[4.0, 0.0]], atol=1e-12)
     assert oracle.total_queries == 2
-
-
-def test_two_point_validation():
-    oracle = quad_oracle(2)
-    with pytest.raises(ValueError):
-        two_point(oracle, 0, np.zeros(2), -0.1, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        two_point(oracle, 0, np.zeros(2), 0.1, np.array([1.0, 1.0]))
 
 
 def test_sample_sphere_d1():
     rng = np.random.default_rng(3)
-    draws = {sample_sphere(rng, 1)[0] for _ in range(20)}
+    draws = set(sphere(rng, 20, 1)[:, 0])
     assert draws <= {1.0, -1.0} and len(draws) == 2
 
 
 def test_sample_sphere_moments():
     rng = np.random.default_rng(7)
     n = 100_000
-    z8 = np.array([sample_sphere(rng, 8) for _ in range(n)])
+    z8 = sphere(rng, n, 8)
     np.testing.assert_allclose(np.linalg.norm(z8, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(z8.mean(axis=0))) < 0.02
 
-    z4 = np.array([sample_sphere(rng, 4) for _ in range(n)])
+    z4 = sphere(rng, n, 4)
     cov = z4.T @ z4 / n
     assert np.max(np.abs(cov - np.eye(4) / 4)) < 0.02
 
 
 def test_two_d_point_exact_on_quadratic_and_linear():
     oracle = quad_oracle(5)
-    x = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
+    x = np.array([[1.0, -2.0, 0.5, 3.0, 0.0]])
     for u in (0.01, 1.0):
-        sweep = two_d_point(oracle, 0, x, u)
-        np.testing.assert_allclose(sweep.estimate, x, atol=1e-12)
+        np.testing.assert_allclose(sweep(oracle, ROW, x, u)[0], x, atol=1e-12)
     assert oracle.total_queries == 2 * 5 * 2
 
     coef = np.array([[2.0, -1.0, 0.5]])
     lin = ZerothOrderOracle(make_linear(1, 3, coef=coef))
-    np.testing.assert_allclose(two_d_point(lin, 0, np.zeros(3), 0.7).estimate,
-                               coef[0], atol=1e-12)
+    np.testing.assert_allclose(sweep(lin, ROW, np.zeros((1, 3)), 0.7)[0], coef, atol=1e-12)
 
 
 def test_two_d_point_error_bound():
@@ -103,28 +96,33 @@ def test_two_d_point_error_bound():
     u = 1e-4
     for _ in range(10):
         x = rng.standard_normal(8)
-        err = np.linalg.norm(two_d_point(oracle, 0, x, u).estimate - analytic_grad(spec, 0, x))
+        err = np.linalg.norm(sweep(oracle, ROW, x[None], u)[0][0] - analytic_grad(spec, 0, x))
         assert err <= 0.5 * u * lhat * np.sqrt(8)
 
 
 def test_two_d_point_returns_raw_evals():
     oracle = quad_oracle(3)
-    sweep = two_d_point(oracle, 0, np.array([1.0, 0.0, -1.0]), 0.2)
-    assert isinstance(sweep, CoordinateSweep)
-    np.testing.assert_array_equal((sweep.f_plus - sweep.f_minus) / 0.4, sweep.estimate)
+    x = np.array([[1.0, 0.0, -1.0]])
+    estimate, values = sweep(oracle, ROW, x, 0.2)
+    assert values.shape == (1, 6)
+    np.testing.assert_array_equal((values[:, :3] - values[:, 3:]) / 0.4, estimate)
+    # h(x + u e_l) first, then h(x - u e_l): f = |x|^2 / 2.
+    np.testing.assert_allclose(values[0, :3], [1.22, 1.02, 0.82], atol=1e-14)
+    np.testing.assert_allclose(values[0, 3:], [0.82, 1.02, 1.22], atol=1e-14)
 
 
 def test_coordinate_examples():
     oracle = quad_oracle(4)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    got = coordinate(oracle, 0, x, 0.1, 1)
+    got = coordinate_estimate(oracle, x, 0.1, 1)
     np.testing.assert_allclose(got, [0.0, 4 * -2.0, 0.0, 0.0], atol=1e-12)
     assert oracle.total_queries == 2
 
     lin = ZerothOrderOracle(make_linear(1, 2, coef=[[1.0, 2.0]]))
-    np.testing.assert_allclose(coordinate(lin, 0, np.zeros(2), 0.4, 1), [0.0, 4.0], atol=1e-12)
+    np.testing.assert_allclose(coordinate_estimate(lin, np.zeros(2), 0.4, 1), [0.0, 4.0],
+                               atol=1e-12)
     with pytest.raises(IndexError):
-        coordinate(lin, 0, np.zeros(2), 0.4, 2)
+        coord_pair(lin, ROW, np.zeros((1, 2)), 0.4, np.array([2]))
 
 
 def test_coordinate_average_is_full_sweep():
@@ -133,20 +131,20 @@ def test_coordinate_average_is_full_sweep():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(6)
     u = 0.05
-    avg = np.mean([coordinate(oracle, 0, x, u, l) for l in range(6)], axis=0)
-    sweep = two_d_point(oracle, 0, x, u)
-    assert np.max(np.abs(avg - sweep.estimate)) <= 1e-12 * max(1.0, np.abs(sweep.estimate).max())
+    avg = np.mean([coordinate_estimate(oracle, x, u, l) for l in range(6)], axis=0)
+    full = sweep(oracle, ROW, x[None], u)[0][0]
+    assert np.max(np.abs(avg - full)) <= 1e-12 * max(1.0, np.abs(full).max())
 
 
 def test_snapshot_capture_and_consistency():
     oracle = quad_oracle(3)
-    x = np.array([0.5, -1.0, 2.0])
-    snap = SnapshotState.capture(oracle, 0, x, 0.25)
+    x = np.array([[0.5, -1.0, 2.0]])
+    snap = SnapshotBlock(oracle, x, 0.25)
     np.testing.assert_allclose(snap.full, x, atol=1e-12)   # exact on quadratics
     assert oracle.total_queries == 6
-    with pytest.raises(ValueError):
-        SnapshotState(x_tilde=x, u_tilde=0.25, f_plus=snap.f_plus,
-                      f_minus=snap.f_minus, full=snap.full + 1.0)
+    np.testing.assert_array_equal(snap.x_tilde, x)
+    np.testing.assert_array_equal(snap.u_tilde, [0.25])
+    np.testing.assert_array_equal((snap.values[:, :3] - snap.values[:, 3:]) / 0.5, snap.full)
 
 
 def test_vr_ge_quadratic_formula():
@@ -154,9 +152,9 @@ def test_vr_ge_quadratic_formula():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4)
     xt = rng.standard_normal(4)
-    snap = SnapshotState.capture(oracle, 0, xt, 0.3)
+    snap = SnapshotBlock(oracle, xt[None], 0.3)
     for l in range(4):
-        got = vr_ge(oracle, 0, x, 0.2, snap, l)
+        got = vr(oracle, snap, x, 0.2, l)
         want = xt.copy()
         want[l] += 4 * x[l] - 4 * xt[l]
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -166,9 +164,9 @@ def test_vr_ge_collapses_at_snapshot():
     spec = make_benchmark(1, 5, seed=12)
     oracle = ZerothOrderOracle(spec)
     x = np.full(5, 0.3)
-    snap = SnapshotState.capture(oracle, 0, x, 0.1)
+    snap = SnapshotBlock(oracle, x[None], 0.1)
     for l in range(5):
-        np.testing.assert_array_equal(vr_ge(oracle, 0, x, 0.1, snap, l), snap.full)
+        np.testing.assert_array_equal(vr(oracle, snap, x, 0.1, l), snap.full[0])
 
 
 def test_vr_ge_average_matches_full_sweep():
@@ -177,10 +175,10 @@ def test_vr_ge_average_matches_full_sweep():
     oracle = ZerothOrderOracle(spec)
     x = rng.standard_normal(8)
     xt = rng.standard_normal(8)
-    snap = SnapshotState.capture(oracle, 0, xt, 0.08)
-    avg = np.mean([vr_ge(oracle, 0, x, 0.05, snap, l) for l in range(8)], axis=0)
-    sweep = two_d_point(oracle, 0, x, 0.05)
-    rel = np.linalg.norm(avg - sweep.estimate) / np.linalg.norm(sweep.estimate)
+    snap = SnapshotBlock(oracle, xt[None], 0.08)
+    avg = np.mean([vr(oracle, snap, x, 0.05, l) for l in range(8)], axis=0)
+    full = sweep(oracle, ROW, x[None], 0.05)[0][0]
+    rel = np.linalg.norm(avg - full) / np.linalg.norm(full)
     assert rel < 1e-10
 
 
@@ -190,42 +188,35 @@ def test_vr_ge_modes_identical_values_different_cost():
     xt = x + 0.4
 
     oracle_a = ZerothOrderOracle(spec)
-    snap_a = SnapshotState.capture(oracle_a, 0, xt, 0.2)
+    snap_a = SnapshotBlock(oracle_a, xt[None], 0.2)
     before = oracle_a.total_queries
-    faithful = vr_ge(oracle_a, 0, x, 0.1, snap_a, 2, counting_mode="paper_faithful")
+    faithful = vr(oracle_a, snap_a, x, 0.1, 2, counting_mode="paper_faithful")
     assert oracle_a.total_queries - before == 4
 
     oracle_b = ZerothOrderOracle(spec)
-    snap_b = SnapshotState.capture(oracle_b, 0, xt, 0.2)
+    snap_b = SnapshotBlock(oracle_b, xt[None], 0.2)
     before = oracle_b.total_queries
-    cached = vr_ge(oracle_b, 0, x, 0.1, snap_b, 2, counting_mode="cached")
+    cached = vr(oracle_b, snap_b, x, 0.1, 2, counting_mode="cached")
     assert oracle_b.total_queries - before == 2
     np.testing.assert_array_equal(faithful, cached)
 
 
-def test_vr_ge_budget_table():
-    assert vr_ge_budget(64, refreshed=False).fresh_queries == 4
-    assert vr_ge_budget(64, refreshed=True).fresh_queries == 4 + 128
-    assert vr_ge_budget(64, refreshed=False, counting_mode="cached").fresh_queries == 2
-    with pytest.raises(ValueError):
-        vr_ge_budget(8, refreshed=False, counting_mode="lazy")
-    with pytest.raises(ValueError):
-        EstimatorBudget(fresh_queries=-1, counting_mode="cached")
-
-
 def test_refresh_semantics():
-    oracle = quad_oracle(3)
-    x0 = np.zeros(3)
-    snap = SnapshotState.capture(oracle, 0, x0, 0.5)
+    oracle = ZerothOrderOracle(make_quadratic(3, 3))
+    x0 = np.zeros((3, 3))
+    snap = SnapshotBlock(oracle, x0, 0.5)
     before = oracle.total_queries
-    same = maybe_refresh_snapshot(snap, False, np.ones(3), 0.4, oracle, 0)
-    assert same is snap and oracle.total_queries == before
+    snap.capture_rows(oracle, np.array([], dtype=int), np.empty((0, 3)), 0.4)
+    assert oracle.total_queries == before
+    np.testing.assert_array_equal(snap.u_tilde, [0.5, 0.5, 0.5])
 
-    x1 = np.array([1.0, 2.0, 3.0])
-    fresh = maybe_refresh_snapshot(snap, True, x1, 0.4, oracle, 0)
-    assert oracle.total_queries == before + 6
-    np.testing.assert_allclose(fresh.full, x1, atol=1e-12)
-    np.testing.assert_array_equal(fresh.x_tilde, x1)
+    x1 = np.array([[1.0, 2.0, 3.0]])
+    snap.capture_rows(oracle, np.array([1]), x1, 0.4)
+    np.testing.assert_array_equal(oracle.query_count, [6, 12, 6])
+    np.testing.assert_allclose(snap.full[1], x1[0], atol=1e-12)
+    np.testing.assert_array_equal(snap.x_tilde, [[0.0] * 3, x1[0], [0.0] * 3])
+    np.testing.assert_array_equal(snap.u_tilde, [0.5, 0.4, 0.5])
+    np.testing.assert_array_equal(snap.full[[0, 2]], np.zeros((2, 3)))
 
 
 def test_refresh_fraction_concentrates():
@@ -243,17 +234,13 @@ def test_two_point_unbiased_on_linear():
     x = rng.standard_normal(d)
     u = 0.3
 
-    z = rng.standard_normal((n, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    pts = np.stack([x + u * z, x - u * z], axis=0).reshape(1, 2 * n, d)
-    vals = oracle.evaluate_rows(np.array([0]), pts)[0]
-    est = d * ((vals[:n] - vals[n:]) / (2 * u))[:, None] * z
+    z = sphere(rng, n, d)
+    est = two_point(oracle, np.zeros(n, dtype=int), np.tile(x, (n, 1)), u, z)
+    assert oracle.total_queries == 2 * n
 
-    # The batched estimates are the two-point estimator exactly.
-    check = ZerothOrderOracle(make_linear(1, d, coef=coef))
-    for row in range(50):
-        np.testing.assert_allclose(est[row], two_point(check, 0, x, u, z[row]),
-                                   rtol=1e-12, atol=1e-12)
+    # On a linear function each estimate is d (c . z) z exactly.
+    np.testing.assert_allclose(est[:50], d * (z[:50] @ coef[0])[:, None] * z[:50],
+                               rtol=1e-12, atol=1e-12)
 
     se = est.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(est.mean(axis=0) - coef[0]) <= 3 * se)
@@ -272,10 +259,9 @@ def test_vr_ge_variance_within_envelope():
         xt = rng.standard_normal(d)
         ut = rng.uniform(0.05, 0.2)
         u = ut * rng.uniform(0.2, 1.0)
-        snap = SnapshotState.capture(oracle, 0, xt, ut)
+        snap = SnapshotBlock(oracle, xt[None], ut)
         grad = analytic_grad(spec, 0, x)
-        mse = np.mean([np.sum((vr_ge(oracle, 0, x, u, snap, l) - grad) ** 2)
-                       for l in range(d)])
+        mse = np.mean([np.sum((vr(oracle, snap, x, u, l) - grad) ** 2) for l in range(d)])
         for y in (xt, (x + xt) / 2):
             limit = estimator_variance_limit(d, lhat, np.linalg.norm(x - y),
                                              np.linalg.norm(xt - y), ut)
@@ -285,8 +271,8 @@ def test_vr_ge_variance_within_envelope():
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**31 - 1))
 def test_sphere_draws_are_unit(d, seed):
-    z = sample_sphere(np.random.default_rng(seed), d)
-    assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+    z = sphere(np.random.default_rng(seed), 3, d)
+    assert np.all(np.abs(np.linalg.norm(z, axis=1) - 1.0) <= 1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -296,6 +282,6 @@ def test_coordinate_sweep_identity_property(d, seed, u):
     spec = make_benchmark(1, d, seed=seed % 1000)
     oracle = ZerothOrderOracle(spec)
     x = np.random.default_rng(seed).standard_normal(d)
-    avg = np.mean([coordinate(oracle, 0, x, u, l) for l in range(d)], axis=0)
-    sweep = two_d_point(oracle, 0, x, u)
-    assert np.max(np.abs(avg - sweep.estimate)) <= 1e-12 * max(1.0, np.abs(sweep.estimate).max())
+    avg = np.mean([coordinate_estimate(oracle, x, u, l) for l in range(d)], axis=0)
+    full = sweep(oracle, ROW, x[None], u)[0][0]
+    assert np.max(np.abs(avg - full)) <= 1e-12 * max(1.0, np.abs(full).max())

@@ -122,7 +122,7 @@ def test_query_counters():
     oracle.evaluate(1, np.zeros(4))
     oracle.evaluate(1, np.ones(4))
     pts = np.zeros((3, 5, 4))
-    oracle.evaluate_block(pts)
+    oracle.evaluate_rows(np.arange(3), pts)
     np.testing.assert_array_equal(oracle.query_count, [5, 7, 5])
     assert oracle.total_queries == 17
     # batched values agree with scalar evaluation
