@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .oracle import ObjectiveSpec, global_grad
 
@@ -31,7 +30,7 @@ class MetricsRow:
         vals = [self.stat_gap, self.consensus_err]
         if self.tracking_err is not None:
             vals.append(self.tracking_err)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"non-finite metrics at round {self.k}")
 
 
@@ -39,13 +38,16 @@ def compute_metrics(state: "RunState", spec: ObjectiveSpec) -> MetricsRow:
     """Stationarity gap ||grad f(xbar)||^2, mean squared consensus error,
     and (for tracked algorithms) mean squared tracker error against
     grad f(xbar)."""
+    n = state.x.shape[0]
     xbar = state.x.mean(axis=0)
     grad = global_grad(spec, xbar)
     stat_gap = float(grad @ grad)
-    consensus = float(np.mean(np.sum((state.x - xbar) ** 2, axis=1)))
+    dx = (state.x - xbar).ravel()
+    consensus = float(dx @ dx) / n
     tracking = None
     if state.s is not None:
-        tracking = float(np.mean(np.sum((state.s - grad) ** 2, axis=1)))
+        ds = (state.s - grad).ravel()
+        tracking = float(ds @ ds) / n
     return MetricsRow(k=state.k, m=state.oracle.total_queries,
                       stat_gap=stat_gap, consensus_err=consensus,
                       tracking_err=tracking)

@@ -9,7 +9,8 @@ connected and W has positive diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,17 +63,17 @@ class Topology:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic weights with cached contraction rate sigma.
+    """Symmetric doubly stochastic weights with contraction rate sigma.
 
-    sigma is the largest singular value of W - (1/N) 11^T.  Validation
-    rejects matrices that are not square, finite and symmetric, or whose
-    row or column sums deviate from 1 by more than 1e-12.  sigma itself is
-    not checked: it may equal 1 (e.g. for the identity), and such a matrix
-    does not contract.
+    sigma is the largest singular value of W - (1/N) 11^T.  It is computed
+    on first read and cached, so building W and mixing with it do no O(N^3)
+    work.  Validation rejects matrices that are not square, finite and
+    symmetric, or whose row or column sums deviate from 1 by more than
+    1e-12.  sigma itself is not checked: it may equal 1 (e.g. for the
+    identity), and such a matrix does not contract.
     """
 
     w: np.ndarray
-    sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
@@ -89,10 +90,13 @@ class MixingMatrix:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
+
+    @cached_property
+    def sigma(self) -> float:
         # sigma < 1 is guaranteed for weights built from a connected graph
         # with positive diagonal; arbitrary matrices (e.g. the identity) may
         # sit at 1 and simply do not contract.
-        object.__setattr__(self, "sigma", spectral_gap(w))
+        return spectral_gap(self.w)
 
     @property
     def n_agents(self) -> int:

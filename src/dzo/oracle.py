@@ -17,19 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.special import expit
 
 _BETA_TOL = 1e-12
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +135,7 @@ def _values_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) ->
         z = spec.zeta[agents]                       # (B, d)
         t = np.einsum("bmd,bd->bm", points, z) + spec.v[agents][:, None]
         sq = np.einsum("bmd,bmd->bm", points, points)
-        return spec.alpha[agents][:, None] * _sigmoid(t) \
+        return spec.alpha[agents][:, None] * expit(t) \
             + spec.beta[agents][:, None] * np.log1p(sq)
     if spec.kind == "quadratic":
         diff = points - spec.shift[agents][:, None, :]
@@ -161,7 +151,7 @@ def _grads_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> 
     if spec.kind == "benchmark":
         z = spec.zeta[agents]
         t = np.einsum("bmd,bd->bm", points, z) + spec.v[agents][:, None]
-        sig = _sigmoid(t)
+        sig = expit(t)
         sq = np.einsum("bmd,bmd->bm", points, points)
         part1 = (spec.alpha[agents][:, None] * sig * (1.0 - sig))[:, :, None] * z[:, None, :]
         part2 = (spec.beta[agents][:, None] * 2.0 / (1.0 + sq))[:, :, None] * points
@@ -194,8 +184,22 @@ def grads_at(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
 
 
 def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    """Gradient of the network objective f = (1/N) sum_i f_i at x."""
-    return grads_at(spec, x).mean(axis=0)
+    """Gradient of the network objective f = (1/N) sum_i f_i at x.
+
+    Contracts over agents in closed form; equals grads_at(spec, x).mean(0)
+    up to summation order.
+    """
+    x = np.asarray(x, dtype=float)
+    n = spec.n_agents
+    if spec.kind == "benchmark":
+        sig = expit(spec.zeta @ x + spec.v)
+        return ((spec.alpha * sig * (1.0 - sig)) @ spec.zeta
+                + (2.0 * spec.beta.sum() / (1.0 + x @ x)) * x) / n
+    if spec.kind == "quadratic":
+        return np.einsum("nij,nj->i", spec.quad, x - spec.shift) / n
+    if spec.kind == "linear":
+        return spec.coef.mean(axis=0)
+    raise AssertionError(spec.kind)
 
 
 def stacked_grads(spec: ObjectiveSpec, x_stacked: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dzo import network
+from dzo.algorithms import ALGORITHMS, Schedule, StopRule, run
 from dzo.network import (
     DisconnectedGraphError,
     MixingMatrix,
@@ -12,6 +14,7 @@ from dzo.network import (
     mix,
     spectral_gap,
 )
+from dzo.oracle import make_benchmark
 
 # Hand-derived Metropolis weights for the 3-node path (degrees 1, 2, 1).
 PATH3_W = np.array([
@@ -99,6 +102,25 @@ def test_spectral_gap_deterministic():
     w = metropolis_weights(t).w
     vals = {spectral_gap(w) for _ in range(5)}
     assert len(vals) == 1
+
+
+def test_sigma_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(1)
+        return spectral_gap(w)
+
+    monkeypatch.setattr(network, "spectral_gap", counted)
+    t = build_topology("ring", 6)
+    for alg in ALGORITHMS:
+        run(alg, t, make_benchmark(6, 3, seed=0), Schedule(step_size=0.05),
+            StopRule("rounds", 3), seed=0)
+    w = metropolis_weights(t)
+    assert calls == []
+    first, second = w.sigma, w.sigma
+    assert len(calls) == 1
+    assert first == second == spectral_gap(w.w)
 
 
 def test_mix_projector_and_identity():

@@ -86,6 +86,10 @@ def test_sigmoid_stable_at_extremes():
     with np.errstate(over="raise"):
         assert objective_value(spec, 0, np.array([1000.0])) == pytest.approx(np.log(1 + 1e6) + 1.0)
         assert np.isfinite(objective_value(spec, 0, np.array([-1000.0])))
+        for x in (np.array([1000.0]), np.array([-1000.0])):
+            # The sigmoid term has saturated; only the log barrier's 2x/(1+x^2) is left.
+            np.testing.assert_allclose(analytic_grad(spec, 0, x), 2 * x / (1 + x @ x), rtol=1e-12)
+            np.testing.assert_allclose(global_grad(spec, x), 2 * x / (1 + x @ x), rtol=1e-12)
 
 
 @pytest.mark.parametrize("maker,seed", [
@@ -104,10 +108,27 @@ def test_gradients_match_central_differences(maker, seed):
         assert np.linalg.norm(got - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
 
 
-def test_global_grad_is_mean():
-    spec = make_benchmark(4, 3, seed=5)
+def nearly_symmetric_quadratic():
+    # Q_0 is asymmetric by 1e-11, inside the spec's 1e-10 symmetry check, so
+    # a contraction with Q^T in place of Q moves the gradient by ~1e-11.
+    quad = make_quadratic(2, 3, seed=6).quad.copy()
+    quad[0, 0, 1] += 1e-11
+    shift = np.random.default_rng(7).standard_normal((2, 3))
+    return make_quadratic(2, 3, quad=quad, shift=shift)
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: make_benchmark(4, 3, seed=5),
+    lambda: make_quadratic(4, 3, seed=5,
+                           shift=np.random.default_rng(8).standard_normal((4, 3))),
+    nearly_symmetric_quadratic,
+    lambda: make_linear(4, 3, seed=5),
+], ids=["benchmark", "quadratic", "quadratic_asymmetric", "linear"])
+def test_global_grad_is_mean(maker):
+    spec = maker()
     x = np.array([0.3, -1.0, 0.7])
-    np.testing.assert_allclose(global_grad(spec, x), grads_at(spec, x).mean(axis=0), atol=1e-15)
+    np.testing.assert_allclose(global_grad(spec, x), grads_at(spec, x).mean(axis=0),
+                               rtol=1e-14, atol=1e-15)
 
 
 def test_quadratic_gradient_identity():
