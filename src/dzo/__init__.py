@@ -7,7 +7,7 @@ two-point descent and full-sweep tracking baselines, and numerical
 certificates for the step-size conditions behind the convergence theory.
 """
 
-from .algorithms import ALGORITHMS, RunState, Schedule, StopRule, dgd2p_step, gt2d_step, run, vrgt_step
+from .algorithms import ALGORITHMS, Schedule, StopRule, run
 from .estimators import COUNTING_MODES
 from .harness import (
     SUITES,
@@ -21,7 +21,7 @@ from .harness import (
     suite_configs,
     write_csv,
 )
-from .metrics import MetricsRow, compute_metrics
+from .metrics import MetricsRow
 from .network import (
     DisconnectedGraphError,
     MixingMatrix,

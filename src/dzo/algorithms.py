@@ -12,13 +12,17 @@ Three algorithms, all advancing every agent in lockstep per round:
   with Bernoulli(p) snapshot refreshes; 4 + 2dp expected queries per agent
   per round in ``paper_faithful`` accounting (2 + 2dp in ``cached``), plus
   one 2d sweep per agent at initialization to seed the snapshots.
+
+gt2d and vrgt share one gradient-tracking round (DIGing) fed by different
+estimates.  Every step takes ``(state, w, schedule)`` and reads the oracle,
+rng and vrgt's refresh policy from the state its ``init_<name>`` built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -84,7 +88,9 @@ class StopRule:
 
 @dataclass
 class RunState:
-    """Mutable state of one run.  A run owns its oracle and rng stream."""
+    """Mutable state of one run.  A run owns its oracle, its rng stream and,
+    for vrgt, its refresh probability and counting mode: every step reads
+    them from here, and init_vrgt validates the policy before any query."""
 
     k: int
     x: np.ndarray                      # (N, d) iterates
@@ -93,6 +99,8 @@ class RunState:
     s: np.ndarray | None = None        # (N, d) trackers
     g_prev: np.ndarray | None = None   # (N, d) previous estimates
     snapshots: SnapshotBlock | None = None
+    p: float = 0.0
+    counting_mode: str = "paper_faithful"
     last_refreshes: int = 0
 
 
@@ -110,75 +118,75 @@ def init_gt2d(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
 
 
 def init_vrgt(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
-              rng: np.random.Generator) -> RunState:
-    """Snapshots start at the initial iterate (one 2d sweep per agent);
-    trackers and previous estimates start at zero."""
+              rng: np.random.Generator, p: float,
+              counting_mode: str = "paper_faithful") -> RunState:
+    """Check the refresh policy, then start the snapshots at the initial
+    iterate (one 2d sweep per agent); trackers and previous estimates start
+    at zero."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
+    check_mode(counting_mode)
     snapshots = SnapshotBlock(oracle, x0, schedule.smoothing_at(0))
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng,
-                    s=np.zeros_like(x0), g_prev=np.zeros_like(x0), snapshots=snapshots)
+                    s=np.zeros_like(x0), g_prev=np.zeros_like(x0), snapshots=snapshots,
+                    p=p, counting_mode=counting_mode)
 
 
-def dgd2p_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
-               schedule: Schedule) -> RunState:
+def dgd2p_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
     """Mixed descent along fresh two-point estimates; 2 queries per agent."""
     n, d = state.x.shape
     u = schedule.smoothing_at(state.k)
     eta = schedule.step_size_at(state.k)
-    grad_est = two_point(oracle, np.arange(n), state.x, u, sphere(state.rng, n, d))
+    grad_est = two_point(state.oracle, np.arange(n), state.x, u, sphere(state.rng, n, d))
     state.x = w.w @ (state.x - eta * grad_est)
     state.k += 1
     return state
 
 
-def gt2d_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
-              schedule: Schedule) -> RunState:
-    """Tracked descent with a fresh full sweep at the new iterate; 2d queries
-    per agent (the previous sweep is reused, not recomputed)."""
+def _track(state: RunState, w: MixingMatrix, schedule: Schedule,
+           estimate: Callable[[np.ndarray, float], np.ndarray]) -> RunState:
+    """One gradient-tracking round (DIGing): x <- W(x - alpha s), then
+    g = estimate(x, u_{k+1}) at the new iterate, then s <- W(s + g - g_prev)."""
     if state.s is None or state.g_prev is None:
-        raise ValueError("gt2d state not initialized; use init_gt2d")
+        raise ValueError("tracker not initialized; use init_gt2d or init_vrgt")
     alpha = schedule.step_size_at(state.k)
-    u_next = schedule.smoothing_at(state.k + 1)
     x_new = w.w @ (state.x - alpha * state.s)
-    g_new, _ = sweep(oracle, np.arange(len(x_new)), x_new, u_next)
-    state.s = w.w @ (state.s + g_new - state.g_prev)
-    state.x = x_new
-    state.g_prev = g_new
-    state.k += 1
-    return state
-
-
-def vrgt_step(state: RunState, w: MixingMatrix, oracle: ZerothOrderOracle,
-              schedule: Schedule, p: float,
-              counting_mode: str = "paper_faithful") -> RunState:
-    """One variance-reduced gradient-tracking round: (1) mix-and-descend the
-    iterates, (2) draw a uniform coordinate per agent, (3) draw the
-    Bernoulli refresh indicator, (4) refresh fired snapshots at the new
-    iterate, (5) build the variance-reduced estimate, (6) mix the tracker
-    with the estimate increment.  Trackers start at zero together with the
-    previous-estimate register, so mean(s) == mean(g) holds from round 0."""
-    check_mode(counting_mode)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
-    if state.s is None or state.g_prev is None or state.snapshots is None:
-        raise ValueError("vrgt state not initialized; use init_vrgt")
-    n, d = state.x.shape
-    snap = state.snapshots
-    alpha = schedule.step_size_at(state.k)
-    u_next = schedule.smoothing_at(state.k + 1)
-
-    x_new = w.w @ (state.x - alpha * state.s)
-    l = state.rng.integers(0, d, size=n)
-    hit = np.flatnonzero(state.rng.random(n) < p)
-    if hit.size:
-        snap.capture_rows(oracle, hit, x_new[hit], u_next)
-    g = vr_estimate(oracle, snap, x_new, u_next, l, counting_mode)
-
+    g = estimate(x_new, schedule.smoothing_at(state.k + 1))
     state.s = w.w @ (state.s + g - state.g_prev)
     state.x = x_new
     state.g_prev = g
     state.k += 1
-    state.last_refreshes = int(hit.size)
     return state
+
+
+def gt2d_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
+    """Tracked descent with a fresh full sweep at the new iterate; 2d queries
+    per agent (the previous sweep is reused, not recomputed)."""
+    rows = np.arange(len(state.x))
+    return _track(state, w, schedule, lambda x, u: sweep(state.oracle, rows, x, u)[0])
+
+
+def vrgt_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
+    """One variance-reduced gradient-tracking round: after the tracked
+    descent, (1) draw a uniform coordinate per agent, (2) draw the
+    Bernoulli(p) refresh indicator, (3) refresh fired snapshots at the new
+    iterate, (4) build the variance-reduced estimate.  Trackers start at
+    zero together with the previous-estimate register, so mean(s) == mean(g)
+    holds from round 0."""
+    snap = state.snapshots
+    if snap is None:
+        raise ValueError("vrgt state not initialized; use init_vrgt")
+    n, d = state.x.shape
+
+    def estimate(x: np.ndarray, u: float) -> np.ndarray:
+        l = state.rng.integers(0, d, size=n)
+        hit = np.flatnonzero(state.rng.random(n) < state.p)
+        if hit.size:
+            snap.capture_rows(state.oracle, hit, x[hit], u)
+        state.last_refreshes = int(hit.size)
+        return vr_estimate(state.oracle, snap, x, u, l, state.counting_mode)
+
+    return _track(state, w, schedule, estimate)
 
 
 def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
@@ -196,10 +204,6 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if topology.n_agents != spec.n_agents:
         raise ValueError("topology and objective disagree on the number of agents")
-    if algorithm == "vrgt":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
-        check_mode(counting_mode)
 
     w = metropolis_weights(topology)
     oracle = ZerothOrderOracle(spec)
@@ -216,11 +220,10 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
     elif algorithm == "gt2d":
         state, step = init_gt2d(oracle, x0, schedule, rng), gt2d_step
     else:
-        state = init_vrgt(oracle, x0, schedule, rng)
-        step = partial(vrgt_step, p=p, counting_mode=counting_mode)
+        state, step = init_vrgt(oracle, x0, schedule, rng, p, counting_mode), vrgt_step
 
     rows: list[MetricsRow] = []
     while (state.k if stop.kind == "rounds" else oracle.total_queries) < stop.limit:
-        step(state, w, oracle, schedule)
-        rows.append(compute_metrics(state, spec))
+        step(state, w, schedule)
+        rows.append(compute_metrics(state))
     return rows

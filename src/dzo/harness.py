@@ -104,24 +104,45 @@ class ExperimentConfig:
                         u0=self.u0, u_decay=self.u_decay)
 
 
+# The INI layout in file order: (section, key, ExperimentConfig field, parse).
+# The writer omits prob when it is None and p/counting_mode outside vrgt; the
+# reader requires every key but the optional ones, which take the defaults.
+_LAYOUT = (
+    ("topology", "kind", "topology_kind", str),
+    ("topology", "n", "topology_n", int),
+    ("topology", "seed", "topology_seed", int),
+    ("topology", "prob", "topology_prob", float),
+    ("objective", "kind", "objective_kind", str),
+    ("objective", "dim", "objective_dim", int),
+    ("objective", "seed", "objective_seed", int),
+    ("algorithm", "name", "algorithm", str),
+    ("algorithm", "step_size", "step_size", float),
+    ("algorithm", "p", "p", float),
+    ("algorithm", "counting_mode", "counting_mode", str),
+    ("schedule", "u0", "u0", float),
+    ("schedule", "u_decay", "u_decay", float),
+    ("schedule", "step_decay", "step_decay", float),
+    ("stop", "kind", "stop_kind", str),
+    ("stop", "limit", "stop_limit", int),
+    ("run", "seed", "seed", int),
+    ("run", "x0_scale", "x0_scale", float),
+    ("run", "x0_mode", "x0_mode", str),
+    ("run", "out", "out", str),
+)
+_OPTIONAL = frozenset({"topology_prob", "p", "counting_mode", "step_decay",
+                       "x0_scale", "x0_mode", "out"})
+
+
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Normalized INI rendering; floats use repr so parsing round-trips."""
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, field, parse in _LAYOUT:
+        value = getattr(cfg, field)
+        if value is None or (field in ("p", "counting_mode") and cfg.algorithm != "vrgt"):
+            continue
+        sections.setdefault(section, {})[key] = repr(value) if parse is float else str(value)
     parser = configparser.ConfigParser()
-    parser["topology"] = {"kind": cfg.topology_kind, "n": str(cfg.topology_n),
-                          "seed": str(cfg.topology_seed)}
-    if cfg.topology_prob is not None:
-        parser["topology"]["prob"] = repr(cfg.topology_prob)
-    parser["objective"] = {"kind": cfg.objective_kind, "dim": str(cfg.objective_dim),
-                           "seed": str(cfg.objective_seed)}
-    parser["algorithm"] = {"name": cfg.algorithm, "step_size": repr(cfg.step_size)}
-    if cfg.algorithm == "vrgt":
-        parser["algorithm"]["p"] = repr(cfg.p)
-        parser["algorithm"]["counting_mode"] = cfg.counting_mode
-    parser["schedule"] = {"u0": repr(cfg.u0), "u_decay": repr(cfg.u_decay),
-                          "step_decay": repr(cfg.step_decay)}
-    parser["stop"] = {"kind": cfg.stop_kind, "limit": str(cfg.stop_limit)}
-    parser["run"] = {"seed": str(cfg.seed), "x0_scale": repr(cfg.x0_scale),
-                     "x0_mode": cfg.x0_mode, "out": cfg.out}
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -131,34 +152,12 @@ def config_from_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     try:
-        topo = parser["topology"]
-        obj = parser["objective"]
-        alg = parser["algorithm"]
-        sched = parser["schedule"]
-        stop = parser["stop"]
-        runsec = parser["run"]
-        return ExperimentConfig(
-            topology_kind=topo["kind"],
-            topology_n=int(topo["n"]),
-            topology_seed=int(topo["seed"]),
-            topology_prob=float(topo["prob"]) if "prob" in topo else None,
-            objective_kind=obj["kind"],
-            objective_dim=int(obj["dim"]),
-            objective_seed=int(obj["seed"]),
-            algorithm=alg["name"],
-            step_size=float(alg["step_size"]),
-            p=float(alg.get("p", "0.1")),
-            counting_mode=alg.get("counting_mode", "paper_faithful"),
-            u0=float(sched["u0"]),
-            u_decay=float(sched["u_decay"]),
-            step_decay=float(sched.get("step_decay", "0.0")),
-            stop_kind=stop["kind"],
-            stop_limit=int(stop["limit"]),
-            seed=int(runsec["seed"]),
-            x0_scale=float(runsec.get("x0_scale", "1.0")),
-            x0_mode=runsec.get("x0_mode", "shared"),
-            out=runsec.get("out", "run.csv"),
-        )
+        sections = {section: parser[section] for section, *_ in _LAYOUT}
+        return ExperimentConfig(**{
+            field: parse(sections[section][key])
+            for section, key, field, parse in _LAYOUT
+            if field not in _OPTIONAL or key in sections[section]
+        })
     except (KeyError, ValueError) as err:
         raise ValueError(f"malformed experiment config: {err}") from err
 

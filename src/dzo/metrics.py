@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .oracle import ObjectiveSpec, global_grad
+from .oracle import global_grad
 
 if TYPE_CHECKING:
     from .algorithms import RunState
@@ -34,13 +34,13 @@ class MetricsRow:
             raise ValueError(f"non-finite metrics at round {self.k}")
 
 
-def compute_metrics(state: "RunState", spec: ObjectiveSpec) -> MetricsRow:
+def compute_metrics(state: "RunState") -> MetricsRow:
     """Stationarity gap ||grad f(xbar)||^2, mean squared consensus error,
     and (for tracked algorithms) mean squared tracker error against
-    grad f(xbar)."""
+    grad f(xbar), for the objective of the state's oracle."""
     n = state.x.shape[0]
     xbar = state.x.mean(axis=0)
-    grad = global_grad(spec, xbar)
+    grad = global_grad(state.oracle.spec, xbar)
     stat_gap = float(grad @ grad)
     dx = (state.x - xbar).ravel()
     consensus = float(dx @ dx) / n

@@ -166,17 +166,16 @@ def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) 
     elif kind == "erdos_renyi":
         if prob is None or not 0.0 < prob <= 1.0:
             raise ValueError(f"erdos_renyi needs prob in (0, 1], got {prob}")
-        children = np.random.SeedSequence(seed).spawn(_ER_MAX_TRIES)
-        for child in children:
-            rng = np.random.default_rng(child)
-            mask = rng.random((n, n)) < prob
-            edges = {(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]}
-            if _is_connected(n, frozenset(edges)):
-                break
-        else:
-            raise DisconnectedGraphError(
-                f"no connected Erdos-Renyi sample in {_ER_MAX_TRIES} tries (n={n}, prob={prob})"
-            )
+        for child in np.random.SeedSequence(seed).spawn(_ER_MAX_TRIES):
+            mask = np.random.default_rng(child).random((n, n)) < prob
+            edges = frozenset(map(tuple, np.argwhere(np.triu(mask, 1)).tolist()))
+            try:
+                return Topology(n_agents=n, edges=edges)
+            except DisconnectedGraphError:
+                continue
+        raise DisconnectedGraphError(
+            f"no connected Erdos-Renyi sample in {_ER_MAX_TRIES} tries (n={n}, prob={prob})"
+        )
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
     return Topology(n_agents=n, edges=frozenset(edges))

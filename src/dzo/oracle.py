@@ -14,7 +14,7 @@ exposed as free functions for metrics and validation and are never counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -77,19 +77,6 @@ class ObjectiveSpec:
             _freeze("coef", self.coef, (n, d))
         else:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        """Full parameter dump (arrays as nested lists) for exact replay."""
-        out = {"kind": self.kind, "n_agents": self.n_agents, "dim": self.dim}
-        for name, val in asdict(self).items():
-            if name in out or val is None:
-                continue
-            out[name] = np.asarray(val).tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObjectiveSpec":
-        return cls(**data)
 
 
 def make_benchmark(n: int, d: int, seed: int = 0) -> ObjectiveSpec:

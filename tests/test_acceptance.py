@@ -126,14 +126,11 @@ def test_criterion_05_tracking_identity():
         oracle = ZerothOrderOracle(spec)
         rng = np.random.default_rng(56)
         if alg == "vrgt":
-            state = init_vrgt(oracle, x0, sch, rng)
+            state, step = init_vrgt(oracle, x0, sch, rng, p=0.1), vrgt_step
         else:
-            state = init_gt2d(oracle, x0, sch, rng)
+            state, step = init_gt2d(oracle, x0, sch, rng), gt2d_step
         for _ in range(rounds):
-            if alg == "vrgt":
-                vrgt_step(state, w, oracle, sch, p=0.1)
-            else:
-                gt2d_step(state, w, oracle, sch)
+            step(state, w, sch)
             dev = float(np.linalg.norm(state.s.mean(axis=0) - state.g_prev.mean(axis=0)))
             worst = max(worst, dev)
     _verdict(5, "tracker mean equals estimate mean every round",
@@ -148,10 +145,11 @@ def test_criterion_06_query_accounting():
     sch = Schedule(step_size=0.02)
     oracle = ZerothOrderOracle(spec)
     x0 = np.tile(0.25 * np.random.default_rng(9).standard_normal(d), (n, 1))
-    state = init_vrgt(oracle, x0, sch, np.random.default_rng(123))
+    state = init_vrgt(oracle, x0, sch, np.random.default_rng(123), p=p,
+                      counting_mode="paper_faithful")
     refreshes = 0
     for _ in range(rounds):
-        vrgt_step(state, w, oracle, sch, p=p, counting_mode="paper_faithful")
+        vrgt_step(state, w, sch)
         refreshes += state.last_refreshes
     per_agent_round = oracle.total_queries / (n * rounds)
     target = 4 + 2 * d * p

@@ -61,7 +61,7 @@ def test_dgd2p_single_agent_linear():
     x0 = np.array([[1.0, 1.0, 1.0]])
 
     state = init_dgd2p(oracle, x0, np.random.default_rng(99))
-    dgd2p_step(state, w, oracle, sch)
+    dgd2p_step(state, w, sch)
 
     # Reproduce the drawn direction from the same stream.
     z = np.random.default_rng(99).standard_normal((1, 3))
@@ -77,7 +77,7 @@ def test_zero_step_size_reduces_to_mixing():
     oracle = ZerothOrderOracle(make_benchmark(3, 2, seed=1))
     x0 = np.random.default_rng(3).standard_normal((3, 2))
     state = init_dgd2p(oracle, x0, np.random.default_rng(4))
-    dgd2p_step(state, w, oracle, Schedule(step_size=0.0))
+    dgd2p_step(state, w, Schedule(step_size=0.0))
     np.testing.assert_allclose(state.x, w.w @ x0, atol=1e-14)
 
 
@@ -97,7 +97,7 @@ def test_gt2d_tracks_exact_mean_gradient_on_quadratic():
     sch = Schedule(step_size=0.05)
     state = init_gt2d(oracle, shared_start(3, 4, seed=2), sch, np.random.default_rng(0))
     for _ in range(30):
-        gt2d_step(state, w, oracle, sch)
+        gt2d_step(state, w, sch)
         want = stacked_grads(spec, state.x).mean(axis=0)
         np.testing.assert_allclose(state.s.mean(axis=0), want, atol=1e-12)
 
@@ -110,7 +110,7 @@ def test_gt2d_single_agent_is_gradient_descent():
     state = init_gt2d(oracle, x0, sch, np.random.default_rng(0))
     x = x0[0].copy()
     for _ in range(20):
-        gt2d_step(state, single_agent_weights(), oracle, sch)
+        gt2d_step(state, single_agent_weights(), sch)
         x = x - 0.1 * x  # gradient descent with the exact gradient
         np.testing.assert_allclose(state.x[0], x, atol=1e-12)
 
@@ -124,7 +124,7 @@ def test_gt2d_query_cost():
     assert oracle.total_queries == 2 * 4 * 5  # tracker seeding
     w = metropolis_weights(topo)
     for k in range(1, 4):
-        gt2d_step(state, w, oracle, sch)
+        gt2d_step(state, w, sch)
         assert oracle.total_queries == 2 * 4 * 5 * (k + 1)
 
 
@@ -135,10 +135,10 @@ def test_vrgt_p0_keeps_initial_snapshot():
     oracle = ZerothOrderOracle(spec)
     sch = Schedule(step_size=0.05)
     x0 = shared_start(4, 3, seed=9)
-    state = init_vrgt(oracle, x0, sch, np.random.default_rng(2))
+    state = init_vrgt(oracle, x0, sch, np.random.default_rng(2), p=0.0)
     full0 = state.snapshots.full.copy()
     for _ in range(10):
-        vrgt_step(state, w, oracle, sch, p=0.0)
+        vrgt_step(state, w, sch)
     np.testing.assert_array_equal(state.snapshots.x_tilde, x0)
     np.testing.assert_array_equal(state.snapshots.full, full0)
     assert state.last_refreshes == 0
@@ -155,9 +155,9 @@ def test_vrgt_round_matches_per_agent_estimators():
     oracle = ZerothOrderOracle(spec)
     rng = np.random.default_rng(31)
     x0 = shared_start(d, n, seed=30)
-    state = init_vrgt(oracle, x0, sch, rng)
+    state = init_vrgt(oracle, x0, sch, rng, p=0.5)
     snaps0 = [snapshot_of(state.snapshots, i) for i in range(n)]
-    vrgt_step(state, w, oracle, sch, p=0.5)
+    vrgt_step(state, w, sch)
 
     # Replay the same round by hand with the naive per-agent estimators.
     rng2 = np.random.default_rng(31)
@@ -184,10 +184,10 @@ def test_vrgt_p1_equals_fresh_sweep_tracking():
     x0 = shared_start(d, n, seed=4)
 
     oracle = ZerothOrderOracle(spec)
-    state = init_vrgt(oracle, x0, sch, np.random.default_rng(7))
+    state = init_vrgt(oracle, x0, sch, np.random.default_rng(7), p=1.0)
     trail = []
     for _ in range(25):
-        vrgt_step(state, w, oracle, sch, p=1.0)
+        vrgt_step(state, w, sch)
         trail.append(state.x.copy())
 
     oracle_ref = ZerothOrderOracle(spec)
@@ -215,12 +215,13 @@ def test_tracking_identity_and_mean_recursion():
     spec = make_benchmark(n, d, seed=14)
     sch = Schedule(step_size=0.03)
     oracle = ZerothOrderOracle(spec)
-    state = init_vrgt(oracle, shared_start(d, n, seed=1), sch, np.random.default_rng(5))
+    state = init_vrgt(oracle, shared_start(d, n, seed=1), sch, np.random.default_rng(5),
+                      p=0.2)
     for _ in range(60):
         x_before = state.x.mean(axis=0)
         g_before = state.g_prev.mean(axis=0)
         alpha = sch.step_size_at(state.k)
-        vrgt_step(state, w, oracle, sch, p=0.2)
+        vrgt_step(state, w, sch)
         # mean iterate moves along the mean estimate
         np.testing.assert_allclose(state.x.mean(axis=0), x_before - alpha * g_before,
                                    atol=1e-12)
@@ -234,8 +235,8 @@ def test_consensus_fixed_point():
     oracle = ZerothOrderOracle(make_benchmark(n, d, seed=3))
     sch = Schedule(step_size=0.1)
     x0 = shared_start(d, n, seed=8)
-    state = init_vrgt(oracle, x0, sch, np.random.default_rng(11))
-    vrgt_step(state, w, oracle, sch, p=0.0)  # s = 0, so only mixing acts on x
+    state = init_vrgt(oracle, x0, sch, np.random.default_rng(11), p=0.0)
+    vrgt_step(state, w, sch)  # s = 0, so only mixing acts on x
     np.testing.assert_allclose(state.x, x0, atol=1e-12)
 
 
@@ -248,11 +249,12 @@ def test_vrgt_query_accounting():
 
     for mode, per_round_base in (("paper_faithful", 4 * n), ("cached", 2 * n)):
         oracle = ZerothOrderOracle(spec)
-        state = init_vrgt(oracle, shared_start(d, n), sch, np.random.default_rng(9))
+        state = init_vrgt(oracle, shared_start(d, n), sch, np.random.default_rng(9),
+                          p=0.3, counting_mode=mode)
         assert oracle.total_queries == 2 * d * n
         expected = 2 * d * n
         for _ in range(50):
-            vrgt_step(state, w, oracle, sch, p=0.3, counting_mode=mode)
+            vrgt_step(state, w, sch)
             expected += per_round_base + 2 * d * state.last_refreshes
             assert oracle.total_queries == expected
 
@@ -327,20 +329,28 @@ def test_run_validation(monkeypatch):
         run("vrgt", topo, spec, sch, StopRule("rounds", 5), seed=0, p=1.5)
     with pytest.raises(ValueError):
         run("vrgt", topo, make_benchmark(3, 3, seed=2), sch, StopRule("rounds", 5), seed=0)
-    with pytest.raises(ValueError):
-        vrgt_step(RunState(k=0, x=np.zeros((2, 2)),
-                           oracle=ZerothOrderOracle(make_benchmark(2, 2, seed=0)),
-                           rng=np.random.default_rng(0)),
-                  metropolis_weights(build_topology("complete", 2)),
-                  ZerothOrderOracle(make_benchmark(2, 2, seed=0)), sch, p=0.5)
+    w2 = metropolis_weights(build_topology("complete", 2))
+    for step in (gt2d_step, vrgt_step):
+        bare = RunState(k=0, x=np.zeros((2, 2)),
+                        oracle=ZerothOrderOracle(make_benchmark(2, 2, seed=0)),
+                        rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="not initialized"):
+            step(bare, w2, sch)
 
-    # A bad counting mode is rejected before the initial snapshot sweep.
+    # A bad refresh policy is rejected before the initial snapshot sweep.
     def no_queries(*args):
-        raise AssertionError("oracle queried before the counting mode was checked")
+        raise AssertionError("oracle queried before the refresh policy was checked")
 
     monkeypatch.setattr(ZerothOrderOracle, "evaluate_rows", no_queries)
+    oracle = ZerothOrderOracle(spec)
+    x0 = shared_start(3, 4)
+    with pytest.raises(ValueError, match="refresh probability"):
+        init_vrgt(oracle, x0, sch, np.random.default_rng(0), p=1.5)
+    with pytest.raises(ValueError, match="counting_mode"):
+        init_vrgt(oracle, x0, sch, np.random.default_rng(0), p=0.5, counting_mode="lazy")
     with pytest.raises(ValueError, match="counting_mode"):
         run("vrgt", topo, spec, sch, StopRule("rounds", 5), seed=0, counting_mode="lazy")
+    assert oracle.total_queries == 0
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -352,8 +362,9 @@ def test_vrgt_snapshot_radius_never_below_round_radius(p):
     spec = make_benchmark(n, d, seed=8)
     for sch in (Schedule(step_size=0.03), Schedule(step_size=0.03, u0=0.5, u_decay=1.0)):
         oracle = ZerothOrderOracle(spec)
-        state = init_vrgt(oracle, shared_start(d, n, seed=3), sch, np.random.default_rng(4))
+        state = init_vrgt(oracle, shared_start(d, n, seed=3), sch, np.random.default_rng(4),
+                          p=p)
         for _ in range(60):
             assert np.all(state.snapshots.u_tilde >= sch.smoothing_at(state.k + 1))
-            vrgt_step(state, w, oracle, sch, p=p)
+            vrgt_step(state, w, sch)
         assert np.all(state.snapshots.u_tilde >= sch.smoothing_at(state.k + 1))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def make_state(x, s=None, spec=None):
 def test_compute_metrics_consensus_and_stationarity():
     spec = make_quadratic(2, 2)
     state = make_state(np.array([[1.0, 0.0], [-1.0, 0.0]]), spec=spec)
-    row = compute_metrics(state, spec)
+    row = compute_metrics(state)
     assert row.consensus_err == pytest.approx(1.0, abs=1e-15)
     assert row.stat_gap == pytest.approx(0.0, abs=1e-15)  # mean is the minimizer
     assert row.tracking_err is None
@@ -50,7 +52,7 @@ def test_compute_metrics_consensus_and_stationarity():
 def test_compute_metrics_zero_at_shared_stationary_point():
     spec = make_quadratic(3, 2)
     state = make_state(np.zeros((3, 2)), spec=spec)
-    row = compute_metrics(state, spec)
+    row = compute_metrics(state)
     assert row.stat_gap == 0.0 and row.consensus_err == 0.0
 
 
@@ -59,14 +61,14 @@ def test_compute_metrics_tracking_error():
     x = np.tile([0.5, -1.0], (2, 1))
     state = make_state(x, s=x.copy(), spec=spec)
     # the quadratic's global gradient at xbar equals xbar, so s_i = xbar tracks
-    assert compute_metrics(state, spec).tracking_err == pytest.approx(0.0, abs=1e-15)
+    assert compute_metrics(state).tracking_err == pytest.approx(0.0, abs=1e-15)
 
 
 def test_compute_metrics_purity():
     spec = make_benchmark(3, 4, seed=1)
     state = make_state(np.random.default_rng(0).standard_normal((3, 4)), spec=spec)
     before = state.oracle.total_queries
-    compute_metrics(state, spec)
+    compute_metrics(state)
     assert state.oracle.total_queries == before
 
 
@@ -75,13 +77,36 @@ def test_metrics_row_rejects_nonfinite():
         MetricsRow(k=1, m=2, stat_gap=np.inf, consensus_err=0.0, tracking_err=None)
 
 
-def test_config_text_round_trip():
-    cfg = tiny_config(topology_kind="erdos_renyi", topology_prob=0.25,
-                      step_size=0.017345439653429316, u0=2.9999999999999996)
+def without_keys(text, *keys):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(tuple(f"{key} =" for key in keys)))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(topology_kind="erdos_renyi", topology_prob=0.25,
+         step_size=0.017345439653429316, u0=2.9999999999999996),
+    dict(algorithm="dgd2p"),
+    dict(topology_kind="ring", topology_prob=None),
+    dict(step_decay=0.5, x0_mode="heterogeneous", x0_scale=2.5, out="runs/b.csv"),
+], ids=["erdos_renyi", "dgd2p", "ring_without_prob", "non_defaults"])
+def test_config_text_round_trip(overrides):
+    cfg = tiny_config(**overrides)
     text = config_to_text(cfg)
     again = config_from_text(text)
-    assert again == cfg
     assert config_to_text(again) == text
+    assert ("prob =" in text) == (cfg.topology_prob is not None)
+    if cfg.algorithm == "vrgt":
+        assert again == cfg
+    else:
+        # p and counting_mode are vrgt-only: not written, read back as defaults
+        assert without_keys(text, "p", "counting_mode") == text
+        assert again == replace(cfg, p=0.1, counting_mode="paper_faithful")
+
+
+def test_config_optional_keys_take_defaults():
+    text = config_to_text(tiny_config(step_decay=0.5, x0_scale=2.5))
+    defaults = tiny_config(p=0.1, step_decay=0.0, x0_scale=1.0, out="run.csv")
+    assert config_from_text(without_keys(text, "p", "step_decay", "x0_scale", "out")) == defaults
 
 
 def test_config_file_round_trip(tmp_path):
@@ -94,6 +119,9 @@ def test_config_file_round_trip(tmp_path):
 def test_config_rejects_garbage():
     with pytest.raises(ValueError):
         config_from_text("[topology]\nkind = ring\n")
+    for key in ("u0", "u_decay"):  # required although ExperimentConfig has defaults
+        with pytest.raises(ValueError, match=f"malformed experiment config: '{key}'"):
+            config_from_text(without_keys(config_to_text(tiny_config()), key))
     with pytest.raises(ValueError):
         tiny_config(algorithm="momentum")
     with pytest.raises(ValueError):

@@ -187,11 +187,3 @@ def test_spec_validation():
         make_quadratic(1, 2, quad=np.array([[[1.0, 2.0], [0.0, 1.0]]]))  # asymmetric
     with pytest.raises(ValueError):
         ObjectiveSpec(kind="mystery", n_agents=1, dim=1)
-
-
-def test_spec_dict_round_trip():
-    spec = make_benchmark(3, 4, seed=8)
-    clone = ObjectiveSpec.from_dict(spec.to_dict())
-    np.testing.assert_array_equal(spec.zeta, clone.zeta)
-    x = np.ones(4)
-    assert objective_value(spec, 1, x) == objective_value(clone, 1, x)
