@@ -15,7 +15,6 @@ import numpy as np
 
 from dzo.oracle import estimate_smoothness, make_benchmark
 from dzo.theory import (
-    TheoryInputs,
     certify_contraction,
     contraction_step_limit,
     step_size_limit,
@@ -39,7 +38,7 @@ def main() -> None:
         for d in map(int, args.d.split(",")):
             for p in map(float, args.p.split(",")):
                 try:
-                    lim = step_size_limit(TheoryInputs(sigma, d, p, lhat))
+                    lim = step_size_limit(sigma, d, p, lhat)
                 except ValueError:
                     lim = float("nan")
                 inv = step_size_limit_inv_dim(sigma, d, lhat) if sigma > 0 else 0.0

@@ -64,7 +64,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for d in _ints(args.d):
             for p in _floats(args.p):
                 try:
-                    lim = theory.step_size_limit(theory.TheoryInputs(sigma, d, p, args.L))
+                    lim = theory.step_size_limit(sigma, d, p, args.L)
                 except ValueError:
                     lim = float("nan")
                 lim_inv = theory.step_size_limit_inv_dim(sigma, d, args.L) if sigma > 0 else 0.0

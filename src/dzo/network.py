@@ -53,13 +53,6 @@ class Topology:
             deg[j] += 1
         return deg
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_agents, self.n_agents), dtype=np.int8)
-        for i, j in self.edges:
-            a[i, j] = 1
-            a[j, i] = 1
-        return a
-
 
 @dataclass(frozen=True)
 class MixingMatrix:

@@ -163,18 +163,11 @@ def analytic_grad(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> np.ndarray:
     return _grads_rows(spec, np.array([agent]), pts)[0, 0]
 
 
-def grads_at(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    """All agents' gradients evaluated at the same point; (N, d)."""
-    agents = np.arange(spec.n_agents)
-    pts = np.broadcast_to(np.asarray(x, dtype=float), (spec.n_agents, 1, spec.dim))
-    return _grads_rows(spec, agents, pts)[:, 0, :]
-
-
 def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the network objective f = (1/N) sum_i f_i at x.
 
-    Contracts over agents in closed form; equals grads_at(spec, x).mean(0)
-    up to summation order.
+    Contracts over agents in closed form; equals the mean of
+    analytic_grad(spec, i, x) over agents i up to summation order.
     """
     x = np.asarray(x, dtype=float)
     n = spec.n_agents
@@ -187,12 +180,6 @@ def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return spec.coef.mean(axis=0)
     raise AssertionError(spec.kind)
-
-
-def stacked_grads(spec: ObjectiveSpec, x_stacked: np.ndarray) -> np.ndarray:
-    """Gradient of f_i at row i of x_stacked; (N, d)."""
-    agents = np.arange(spec.n_agents)
-    return _grads_rows(spec, agents, x_stacked[:, None, :])[:, 0, :]
 
 
 class ZerothOrderOracle:

@@ -26,27 +26,6 @@ _SQRT29 = np.sqrt(29.0)
 
 
 @dataclass(frozen=True)
-class TheoryInputs:
-    """Scalar inputs the certificates depend on.  L should be an estimated
-    (upper) smoothness bound; dimensions below 3 are outside the analysis."""
-
-    sigma: float
-    d: int
-    p: float
-    L: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sigma < 1.0:
-            raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
-        if self.d < 3:
-            raise ValueError(f"dimension must be at least 3, got {self.d}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.L <= 0.0:
-            raise ValueError(f"L must be positive, got {self.L}")
-
-
-@dataclass(frozen=True)
 class ContractionCertificate:
     """Weighted-norm certificate for the error-recursion matrix.
 
@@ -64,8 +43,18 @@ class ContractionCertificate:
     satisfied: bool
 
 
-def step_size_limit(inputs: TheoryInputs) -> float:
+def _check(sigma: float, d: int) -> None:
+    if not 0.0 <= sigma < 1.0:
+        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
+    if d < 3:
+        raise ValueError(f"dimension must be at least 3, got {d}")
+
+
+def step_size_limit(sigma: float, d: int, p: float, L: float) -> float:
     """Largest certified step size for the general refresh probability.
+
+    L is an estimated (upper) smoothness bound; dimensions below 3 are
+    outside the analysis.
 
     The product of step size and smoothness must stay below the minimum of
     three terms: 1/(6 sqrt(d)); (1/(12 sqrt(d))) (sqrt((2+sigma^2)/(1-p))
@@ -76,8 +65,10 @@ def step_size_limit(inputs: TheoryInputs) -> float:
     the lower boundary of the p range it can make the certified step size
     nonpositive, meaning no step size is certified there.
     """
-    sigma, d, p, L = inputs.sigma, inputs.d, inputs.p, inputs.L
-    if p <= (1.0 - sigma**2) / d:
+    _check(sigma, d)
+    if L <= 0.0:
+        raise ValueError(f"L must be positive, got {L}")
+    if not (1.0 - sigma**2) / d < p <= 1.0:
         raise ValueError(
             f"p = {p} is outside the certified range ((1 - sigma^2)/d, 1]"
         )
@@ -97,10 +88,7 @@ def step_size_limit_inv_dim(sigma: float, d: int, L: float) -> float:
     sigma^2/(d-1))); and (1-sigma^2)^3 / (264 sqrt(29) d^{3/2}), divided by
     L.  Degenerates to 0 at sigma = 0, where the middle term vanishes.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if d < 3:
-        raise ValueError(f"dimension must be at least 3, got {d}")
+    _check(sigma, d)
     if L <= 0.0:
         raise ValueError(f"L must be positive, got {L}")
     if sigma == 0.0:
@@ -115,10 +103,7 @@ def step_size_limit_inv_dim(sigma: float, d: int, L: float) -> float:
 def contraction_matrix(sigma: float, d: int, alpha_l: float) -> np.ndarray:
     """Coefficient matrix of the coupled error recursion at step size times
     smoothness alpha_l."""
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if d < 3:
-        raise ValueError(f"dimension must be at least 3, got {d}")
+    _check(sigma, d)
     if alpha_l < 0.0:
         raise ValueError(f"alpha_l must be nonnegative, got {alpha_l}")
     c1 = 9.0 * _SQRT29 * np.sqrt(d) / (1.0 - sigma**2) * alpha_l

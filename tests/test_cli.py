@@ -1,5 +1,25 @@
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import dzo
 from dzo.cli import main
 from dzo.harness import ExperimentConfig, config_to_text, read_csv
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run a fresh interpreter on args with this checkout's dzo importable."""
+    src = str(Path(dzo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_verify_prints_table(capsys):
@@ -70,9 +90,6 @@ def test_selftest(capsys):
 
 def test_replay_across_processes(tmp_path):
     # Sidecar replay must be byte-identical even from a fresh interpreter.
-    import subprocess
-    import sys
-
     cfg = ExperimentConfig(
         topology_kind="grid", topology_n=6, topology_seed=1,
         objective_kind="benchmark", objective_dim=4, objective_seed=3,
@@ -84,12 +101,53 @@ def test_replay_across_processes(tmp_path):
     assert main(["run", "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
 
     sidecar = tmp_path / "a" / "replay.csv.config"
-    proc = subprocess.run(
-        [sys.executable, "-m", "dzo", "run", "--config", str(sidecar),
-         "--out", str(tmp_path / "b")],
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.returncode == 0
+    run_python("-m", "dzo", "run", "--config", str(sidecar), "--out", str(tmp_path / "b"))
     first = (tmp_path / "a" / "replay.csv").read_bytes()
     second = (tmp_path / "b" / "replay.csv").read_bytes()
     assert first == second
+
+
+def test_import_dzo_leaves_theory_unloaded():
+    # The package root is the simulator; the analysis and scipy.optimize
+    # load only when dzo.theory is asked for.
+    out = run_python("-c", """
+import sys, types, dzo
+print([m for m in ("dzo.theory", "scipy.optimize") if m in sys.modules])
+print(sorted(n for n, v in vars(dzo).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)))
+print([dzo.algorithms.run is dzo.run, dzo.harness.__name__, dzo.network.__name__,
+       dzo.oracle.__name__])
+from dzo import theory
+print([theory.__name__, "scipy.optimize" in sys.modules])
+""")
+    assert out[0] == "[]"
+    assert out[1] == str(sorted([
+        "MetricsRow", "Schedule", "StopRule", "ZerothOrderOracle", "build_topology",
+        "make_benchmark", "make_quadratic", "metropolis_weights", "mix", "run",
+        "run_experiment"]))
+    assert out[2] == "[True, 'dzo.harness', 'dzo.network', 'dzo.oracle']"
+    assert out[3] == "['dzo.theory', True]"
+
+
+def test_readme_quick_start():
+    readme = (REPO / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(code, scope)
+    assert math.isfinite(scope["rows"][-1].stat_gap)
+
+
+def test_stepsize_tables_script():
+    out = run_python(str(REPO / "scripts" / "stepsize_tables.py"))
+    assert out[0].startswith("# smoothness estimate for the 50-agent benchmark: L = ")
+    assert out[1] == "sigma,d,p,alpha_limit,alpha_limit_p_inv_d,norm_at_guarantee,practical_ratio"
+    assert len(out) == 2 + 3 * 3 * 2
+
+
+def test_reproduce_figs_script(tmp_path):
+    out = run_python(str(REPO / "scripts" / "reproduce_figs.py"), "--suites", "fig1",
+                     "--budget", "300", "--out", str(tmp_path))
+    assert re.fullmatch(r"fig1: 3 runs in \d+\.\ds", out[0])
+    assert len(out) == 4
+    for line in out[1:]:
+        assert read_csv(line.strip())[-1].m >= 300 * 50

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dzo.oracle import make_benchmark, make_linear, make_quadratic
 from dzo.theory import (
     ContractionCertificate,
-    TheoryInputs,
     certify_contraction,
     contraction_matrix,
     contraction_step_limit,
@@ -21,45 +20,45 @@ SQRT29 = np.sqrt(29.0)
 
 
 def test_inputs_validation():
-    with pytest.raises(ValueError):
-        TheoryInputs(sigma=1.0, d=4, p=0.5, L=1.0)
-    with pytest.raises(ValueError):
-        TheoryInputs(sigma=0.5, d=2, p=0.5, L=1.0)
-    with pytest.raises(ValueError):
-        TheoryInputs(sigma=0.5, d=4, p=0.5, L=0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        step_size_limit(sigma=1.0, d=4, p=0.5, L=1.0)
+    with pytest.raises(ValueError, match="dimension"):
+        step_size_limit(sigma=0.5, d=2, p=0.5, L=1.0)
+    with pytest.raises(ValueError, match="L must"):
+        step_size_limit(sigma=0.5, d=4, p=0.5, L=0.0)
 
 
 def test_step_limit_frozen_value():
     # sigma=0, d=9, p=1: the dimension term binds.
-    got = step_size_limit(TheoryInputs(sigma=0.0, d=9, p=1.0, L=1.0))
+    got = step_size_limit(sigma=0.0, d=9, p=1.0, L=1.0)
     assert got == pytest.approx(1.0 / (216.0 * SQRT29 * 9**2.5), rel=1e-14)
     assert got < 1.0 / 18.0
 
 
 def test_step_limit_middle_term_unbinding_at_p1():
     # At p=1 only the other two terms matter.
-    a = step_size_limit(TheoryInputs(sigma=0.3, d=16, p=1.0, L=2.0))
+    a = step_size_limit(sigma=0.3, d=16, p=1.0, L=2.0)
     t1 = 1.0 / (6.0 * 4.0)
     t3 = (1.0 - 0.09) ** 3 / (216.0 * SQRT29 * 16**2.5)
     assert a == pytest.approx(min(t1, t3) / 2.0, rel=1e-14)
 
 
 def test_step_limit_dimension_scaling():
-    lo = step_size_limit(TheoryInputs(sigma=0.5, d=64, p=1.0, L=1.0))
-    hi = step_size_limit(TheoryInputs(sigma=0.5, d=128, p=1.0, L=1.0))
+    lo = step_size_limit(sigma=0.5, d=64, p=1.0, L=1.0)
+    hi = step_size_limit(sigma=0.5, d=128, p=1.0, L=1.0)
     assert hi / lo == pytest.approx(2.0**-2.5, rel=1e-12)
 
 
 def test_step_limit_outside_regime():
     with pytest.raises(ValueError):
-        step_size_limit(TheoryInputs(sigma=0.0, d=4, p=0.25, L=1.0))
+        step_size_limit(sigma=0.0, d=4, p=0.25, L=1.0)
 
 
 def test_step_limit_monotone_at_p1():
-    vals_d = [step_size_limit(TheoryInputs(sigma=0.5, d=d, p=1.0, L=1.0))
+    vals_d = [step_size_limit(sigma=0.5, d=d, p=1.0, L=1.0)
               for d in (3, 8, 16, 64, 256)]
     assert all(a >= b for a, b in zip(vals_d, vals_d[1:]))
-    vals_s = [step_size_limit(TheoryInputs(sigma=s, d=16, p=1.0, L=1.0))
+    vals_s = [step_size_limit(sigma=s, d=16, p=1.0, L=1.0)
               for s in (0.0, 0.2, 0.4, 0.6, 0.8)]
     assert all(a >= b for a, b in zip(vals_s, vals_s[1:]))
 
@@ -71,7 +70,7 @@ def test_inv_dim_limit():
     assert val > 0
     # relative to the general limit at p = 1/d, the specialized third term is
     # looser by a factor 216 d / 264
-    general = step_size_limit(TheoryInputs(sigma=0.9, d=64, p=1.0 / 64, L=1.0))
+    general = step_size_limit(sigma=0.9, d=64, p=1.0 / 64, L=1.0)
     assert val >= general
 
     a = step_size_limit_inv_dim(0.9, 64, 1.0)
@@ -127,7 +126,7 @@ def test_certificate_holds_at_general_step_limit():
             al3 = (1.0 - sigma**2) ** 3 / (216.0 * SQRT29 * d**2.5)
             assert certify_contraction(sigma, d, al3).satisfied, (sigma, d)
             for p in (1.0 / d, 0.5, 1.0):
-                al = step_size_limit(TheoryInputs(sigma, d, p, 1.0))
+                al = step_size_limit(sigma, d, p, 1.0)
                 if al > 0:
                     assert certify_contraction(sigma, d, al).satisfied, (sigma, d, p)
 
