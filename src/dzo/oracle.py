@@ -17,9 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 _BETA_TOL = 1e-12
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    # tanh form of 1 / (1 + e^-t): an exact identity that saturates instead
+    # of overflowing exp at large |t|.
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def _values_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) ->
         z = spec.zeta[agents]                       # (B, d)
         t = np.einsum("bmd,bd->bm", points, z) + spec.v[agents][:, None]
         sq = np.einsum("bmd,bmd->bm", points, points)
-        return spec.alpha[agents][:, None] * expit(t) \
+        return spec.alpha[agents][:, None] * _sigmoid(t) \
             + spec.beta[agents][:, None] * np.log1p(sq)
     if spec.kind == "quadratic":
         diff = points - spec.shift[agents][:, None, :]
@@ -138,7 +143,7 @@ def _grads_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> 
     if spec.kind == "benchmark":
         z = spec.zeta[agents]
         t = np.einsum("bmd,bd->bm", points, z) + spec.v[agents][:, None]
-        sig = expit(t)
+        sig = _sigmoid(t)
         sq = np.einsum("bmd,bmd->bm", points, points)
         part1 = (spec.alpha[agents][:, None] * sig * (1.0 - sig))[:, :, None] * z[:, None, :]
         part2 = (spec.beta[agents][:, None] * 2.0 / (1.0 + sq))[:, :, None] * points
@@ -172,7 +177,7 @@ def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = spec.n_agents
     if spec.kind == "benchmark":
-        sig = expit(spec.zeta @ x + spec.v)
+        sig = _sigmoid(spec.zeta @ x + spec.v)
         return ((spec.alpha * sig * (1.0 - sig)) @ spec.zeta
                 + (2.0 * spec.beta.sum() / (1.0 + x @ x)) * x) / n
     if spec.kind == "quadratic":

@@ -7,9 +7,7 @@ Pure scalar/3x3-matrix computations, independent of any run trajectory:
 * the coefficient matrix of the coupled error recursion
   (consensus error of the iterates, of the snapshots, and scaled tracker
   error), together with a weighted-infinity-norm contraction certificate;
-* the variance envelope of the variance-reduced estimator;
-* the standard gradient-versus-suboptimality inequality
-  ||grad f(x)||^2 <= 2 L (f(x) - f*), checked with estimated constants.
+* the variance envelope of the variance-reduced estimator.
 """
 
 from __future__ import annotations
@@ -18,9 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
-
-from .oracle import ObjectiveSpec, estimate_smoothness, global_grad, objective_value
 
 _SQRT29 = np.sqrt(29.0)
 
@@ -150,62 +145,3 @@ def estimator_variance_limit(d: int, L: float, dist_x_y: float, dist_snap_y: flo
     return (12.0 * d * L**2 * dist_x_y**2
             + 12.0 * d * L**2 * dist_snap_y**2
             + 3.5 * u_tilde**2 * L**2 * d**2)
-
-
-def residual_radius_sum(u0: float, u_decay: float, d: int, p: float) -> float:
-    """Accumulated squared dimension-scaled smoothing radii entering the
-    rate constant: (1/p)(d u(0))^2 + sum_{k>=1} (d u(k))^2 for the schedule
-    u(k) = u0 / max(k, 1)^u_decay.  Finite only when u_decay > 1/2."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if u_decay <= 0.5:
-        return float("inf")
-    tail = (d * u0) ** 2 * float(special.zeta(2.0 * u_decay))
-    return (d * u0) ** 2 / p + tail
-
-
-def _benchmark_lower_bound(spec: ObjectiveSpec, seed: int = 0, starts: int = 8) -> float:
-    """Multi-start local minimization of the network objective; returns the
-    lowest value found, a practical stand-in for the global infimum."""
-    rng = np.random.default_rng(seed)
-    d = spec.dim
-
-    def fun(x):
-        vals = [objective_value(spec, i, x) for i in range(spec.n_agents)]
-        return float(np.mean(vals))
-
-    def jac(x):
-        return global_grad(spec, x)
-
-    best = np.inf
-    points = [np.zeros(d)] + [rng.normal(0.0, 2.0, d) for _ in range(starts - 1)]
-    for x0 in points:
-        res = optimize.minimize(fun, x0, jac=jac, method="L-BFGS-B")
-        best = min(best, float(res.fun))
-    return best
-
-
-def gradient_gap_check(spec: ObjectiveSpec, x: np.ndarray, L: float | None = None,
-                       f_star: float | None = None) -> bool | None:
-    """Check ||grad f(x)||^2 <= 2 L (f(x) - f*) at x.
-
-    Returns None for objectives with no finite infimum (linear).  L defaults
-    to the estimated smoothness bound; f* defaults to an exact value for
-    quadratics and a multi-start estimate for the benchmark.
-    """
-    if spec.kind == "linear":
-        return None
-    if L is None:
-        L = estimate_smoothness(spec)
-    if f_star is None:
-        if spec.kind == "quadratic":
-            shared = np.allclose(spec.shift, spec.shift[0])
-            if not shared:
-                raise ValueError("need a common minimizer or an explicit f_star")
-            f_star = 0.0
-        else:
-            f_star = _benchmark_lower_bound(spec)
-    x = np.asarray(x, dtype=float)
-    grad = global_grad(spec, x)
-    f_x = float(np.mean([objective_value(spec, i, x) for i in range(spec.n_agents)]))
-    return float(grad @ grad) <= 2.0 * L * (f_x - f_star) + 1e-9

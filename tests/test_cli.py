@@ -1,9 +1,12 @@
+import ast
 import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dzo
 from dzo.cli import main
@@ -108,8 +111,8 @@ def test_replay_across_processes(tmp_path):
 
 
 def test_import_dzo_leaves_theory_unloaded():
-    # The package root is the simulator; the analysis and scipy.optimize
-    # load only when dzo.theory is asked for.
+    # The package root is the simulator; the analysis loads only when
+    # dzo.theory is asked for, and no part of dzo loads scipy.
     out = run_python("-c", """
 import sys, types, dzo
 print([m for m in ("dzo.theory", "scipy.optimize") if m in sys.modules])
@@ -117,8 +120,9 @@ print(sorted(n for n, v in vars(dzo).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)))
 print([dzo.algorithms.run is dzo.run, dzo.harness.__name__, dzo.network.__name__,
        dzo.oracle.__name__])
+import dzo.cli
 from dzo import theory
-print([theory.__name__, "scipy.optimize" in sys.modules])
+print([theory.__name__, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
 """)
     assert out[0] == "[]"
     assert out[1] == str(sorted([
@@ -126,7 +130,23 @@ print([theory.__name__, "scipy.optimize" in sys.modules])
         "make_benchmark", "make_quadratic", "metropolis_weights", "mix", "run",
         "run_experiment"]))
     assert out[2] == "[True, 'dzo.harness', 'dzo.network', 'dzo.oracle']"
-    assert out[3] == "['dzo.theory', True]"
+    assert out[3] == "['dzo.theory', []]"
+
+
+def test_declared_dependencies_are_what_dzo_imports():
+    # The runtime dependencies in pyproject.toml name exactly the third-party
+    # packages src/dzo imports: none undeclared, none unused.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group(0) for dep in project["dependencies"]}
+    imported = set()
+    for path in (REPO / "src" / "dzo").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names)
 
 
 def test_readme_quick_start():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,16 +81,38 @@ def test_log_barrier_unit_level_set():
     assert objective_value(spec, 0, x) == pytest.approx(1.0, rel=1e-14)
 
 
+def math_sigmoid(t):
+    # Two-branch reference: exp is only ever taken of a nonpositive argument.
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    return math.exp(t) / (1.0 + math.exp(t))
+
+
 def test_sigmoid_stable_at_extremes():
     spec = ObjectiveSpec(kind="benchmark", n_agents=1, dim=1,
                          alpha=[1.0], beta=[1.0], v=[0.0], zeta=[[1.0]])
-    with np.errstate(over="raise"):
+    with np.errstate(all="raise"):
         assert objective_value(spec, 0, np.array([1000.0])) == pytest.approx(np.log(1 + 1e6) + 1.0)
         assert np.isfinite(objective_value(spec, 0, np.array([-1000.0])))
         for x in (np.array([1000.0]), np.array([-1000.0])):
             # The sigmoid term has saturated; only the log barrier's 2x/(1+x^2) is left.
             np.testing.assert_allclose(analytic_grad(spec, 0, x), 2 * x / (1 + x @ x), rtol=1e-12)
             np.testing.assert_allclose(global_grad(spec, x), 2 * x / (1 + x @ x), rtol=1e-12)
+
+        # Across the saturating range, zeta.x = x here.  The sigmoid is exact up
+        # to rounding, so values and gradients agree with the math reference to
+        # a few ulps of max(1, |f|): 4 eps leaves room for a libm tanh that is
+        # off by more than the half ulp of a correctly rounded one.
+        tol = 4 * np.finfo(float).eps
+        xs = np.linspace(-800.0, 800.0, 4001)
+        values = ZerothOrderOracle(spec).evaluate_rows([0], xs.reshape(1, -1, 1))[0]
+        for x, got in zip(xs.tolist(), values.tolist()):
+            s = math_sigmoid(x)
+            want = s + math.log1p(x * x)
+            assert abs(got - want) <= tol * max(1.0, abs(want)), x
+            want = s * (1.0 - s) + 2.0 * x / (1.0 + x * x)
+            got = float(global_grad(spec, np.array([x]))[0])
+            assert abs(got - want) <= tol * max(1.0, abs(want)), x
 
 
 @pytest.mark.parametrize("maker,seed", [

@@ -3,15 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dzo.oracle import make_benchmark, make_linear, make_quadratic
 from dzo.theory import (
     ContractionCertificate,
     certify_contraction,
     contraction_matrix,
     contraction_step_limit,
     estimator_variance_limit,
-    gradient_gap_check,
-    residual_radius_sum,
     step_size_limit,
     step_size_limit_inv_dim,
 )
@@ -146,38 +143,3 @@ def test_variance_limit_values():
     assert estimator_variance_limit(4, 2.0, 0.0, 0.0, 0.5) == 56.0
     with pytest.raises(ValueError):
         estimator_variance_limit(4, 2.0, -1.0, 0.0, 0.5)
-
-
-def test_residual_radius_sum():
-    u0, q, d, p = 3.0, 0.75, 8, 0.25
-    got = residual_radius_sum(u0, q, d, p)
-    # brute-force partial sum plus an integral tail bound
-    ks = np.arange(1, 2_000_000)
-    partial = np.sum((d * u0 / ks**q) ** 2)
-    tail_hi = (d * u0) ** 2 * ks[-1] ** (1 - 2 * q) / (2 * q - 1)
-    assert (d * u0) ** 2 / p + partial <= got <= (d * u0) ** 2 / p + partial + tail_hi
-    assert residual_radius_sum(u0, 0.5, d, p) == np.inf
-
-
-def test_gradient_gap_quadratic_equality():
-    spec = make_quadratic(2, 3)
-    x = np.array([1.0, -2.0, 0.5])
-    # ||x||^2 <= 2 * L * (0.5 ||x||^2) holds with equality at L = 1
-    assert gradient_gap_check(spec, x, L=1.0, f_star=0.0)
-
-
-def test_gradient_gap_linear_not_applicable():
-    assert gradient_gap_check(make_linear(2, 3, seed=0), np.zeros(3)) is None
-
-
-def test_gradient_gap_benchmark_random_points():
-    spec = make_benchmark(4, 6, seed=3)
-    rng = np.random.default_rng(1)
-    from dzo.oracle import estimate_smoothness
-    from dzo.theory import _benchmark_lower_bound
-
-    lhat = estimate_smoothness(spec)
-    f_star = _benchmark_lower_bound(spec)
-    for _ in range(50):
-        x = rng.normal(0.0, 1.5, 6)
-        assert gradient_gap_check(spec, x, L=lhat, f_star=f_star)
