@@ -138,7 +138,7 @@ def dgd2p_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState
     u = schedule.smoothing_at(state.k)
     eta = schedule.step_size_at(state.k)
     grad_est = two_point(state.oracle, np.arange(n), state.x, u, sphere(state.rng, n, d))
-    state.x = w.w @ (state.x - eta * grad_est)
+    state.x = w.apply(state.x - eta * grad_est)
     state.k += 1
     return state
 
@@ -150,9 +150,9 @@ def _track(state: RunState, w: MixingMatrix, schedule: Schedule,
     if state.s is None or state.g_prev is None:
         raise ValueError("tracker not initialized; use init_gt2d or init_vrgt")
     alpha = schedule.step_size_at(state.k)
-    x_new = w.w @ (state.x - alpha * state.s)
+    x_new = w.apply(state.x - alpha * state.s)
     g = estimate(x_new, schedule.smoothing_at(state.k + 1))
-    state.s = w.w @ (state.s + g - state.g_prev)
+    state.s = w.apply(state.s + g - state.g_prev)
     state.x = x_new
     state.g_prev = g
     state.k += 1

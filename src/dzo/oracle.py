@@ -15,6 +15,7 @@ exposed as free functions for metrics and validation and are never counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,16 +73,23 @@ class ObjectiveSpec:
         elif self.kind == "quadratic":
             _freeze("quad", self.quad, (n, d, d))
             _freeze("shift", self.shift, (n, d))
-            for i in range(n):
-                q = self.quad[i]
-                if np.max(np.abs(q - q.T)) > 1e-10:
-                    raise ValueError(f"quad[{i}] is not symmetric")
-                if np.linalg.eigvalsh(q)[0] < -1e-10:
-                    raise ValueError(f"quad[{i}] is not PSD")
+            q = self.quad
+            asym = np.max(np.abs(q - q.transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
+            bad = np.flatnonzero(asym | (np.linalg.eigvalsh(q)[:, 0] < -1e-10))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"quad[{i}] is not {'symmetric' if asym[i] else 'PSD'}")
         elif self.kind == "linear":
             _freeze("coef", self.coef, (n, d))
         else:
             raise ValueError(f"unknown objective kind {self.kind!r}")
+
+    @cached_property
+    def _quad_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """mean_i(Q_i) and mean_i(Q_i shift_i) of a quadratic spec, computed
+        on first read, so the network gradient at x is the first times x
+        minus the second."""
+        return self.quad.mean(axis=0), np.einsum("nij,nj->i", self.quad, self.shift) / self.n_agents
 
 
 def make_benchmark(n: int, d: int, seed: int = 0) -> ObjectiveSpec:
@@ -131,7 +139,7 @@ def _values_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) ->
             + spec.beta[agents][:, None] * np.log1p(sq)
     if spec.kind == "quadratic":
         diff = points - spec.shift[agents][:, None, :]
-        qd = np.einsum("bij,bmj->bmi", spec.quad[agents], diff)
+        qd = np.matmul(diff, spec.quad[agents].transpose(0, 2, 1))
         return 0.5 * np.einsum("bmi,bmi->bm", diff, qd)
     if spec.kind == "linear":
         return np.einsum("bmd,bd->bm", points, spec.coef[agents])
@@ -150,7 +158,7 @@ def _grads_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> 
         return part1 + part2
     if spec.kind == "quadratic":
         diff = points - spec.shift[agents][:, None, :]
-        return np.einsum("bij,bmj->bmi", spec.quad[agents], diff)
+        return np.matmul(diff, spec.quad[agents].transpose(0, 2, 1))
     if spec.kind == "linear":
         return np.broadcast_to(spec.coef[agents][:, None, :], points.shape).copy()
     raise AssertionError(spec.kind)
@@ -181,7 +189,8 @@ def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
         return ((spec.alpha * sig * (1.0 - sig)) @ spec.zeta
                 + (2.0 * spec.beta.sum() / (1.0 + x @ x)) * x) / n
     if spec.kind == "quadratic":
-        return np.einsum("nij,nj->i", spec.quad, x - spec.shift) / n
+        qbar, qshift = spec._quad_moments
+        return qbar @ x - qshift
     if spec.kind == "linear":
         return spec.coef.mean(axis=0)
     raise AssertionError(spec.kind)

@@ -138,10 +138,71 @@ def test_mix_path3_frozen():
     np.testing.assert_allclose(out, [[2 / 3, 0.0], [1 / 3, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
+def star_path(n, hub_degree):
+    # A path through every agent plus a hub wired to the first hub_degree
+    # agents: one wide row, all others narrow, so the neighbour list pads.
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, j) for j in range(2, hub_degree + 1)}
+    return Topology(n_agents=n, edges=frozenset(edges))
+
+
+MIX_CASES = {
+    # name: (topology, takes the neighbour-list product)
+    "ring8": (build_topology("ring", 8), False),  # the golden trajectories' graph
+    "complete6": (build_topology("complete", 6), False),
+    "er50": (build_topology("erdos_renyi", 50, seed=3, prob=0.2), False),  # fig1's size
+    "er1000": (build_topology("erdos_renyi", 1000, seed=3, prob=0.01), True),
+    "path200": (build_topology("path", 200), True),
+    "star_path200": (star_path(200, 9), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIX_CASES))
+def test_apply_matches_dense_product(name):
+    topo, sparse = MIX_CASES[name]
+    w = metropolis_weights(topo)
+    assert (w._neighbours is not None) == sparse
+    rng = np.random.default_rng(5)
+    for d in (1, 16, 33):
+        x = rng.standard_normal((topo.n_agents, d))
+        want = w.w @ x
+        got = w.apply(x)
+        assert got.shape == want.shape
+        if sparse:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+        else:
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(mix(w, x), got)
+
+
 def test_mix_shape_mismatch():
-    w = metropolis_weights(build_topology("ring", 4))
-    with pytest.raises(ValueError):
-        mix(w, np.zeros((3, 2)))
+    # Both products: ring(4) mixes dense, path(200) through the neighbour list.
+    for kind, n in (("ring", 4), ("path", 200)):
+        w = metropolis_weights(build_topology(kind, n))
+        for bad in (np.zeros((n - 1, 2)), np.zeros(n), np.zeros((n, 2, 1))):
+            with pytest.raises(ValueError):
+                mix(w, bad)
+
+
+def test_weights_are_built_once_per_topology(monkeypatch):
+    built = []
+    build = network._build_metropolis
+
+    def counted(t):
+        built.append(t)
+        return build(t)
+
+    monkeypatch.setattr(network, "_build_metropolis", counted)
+    t = build_topology("ring", 6)
+    w = metropolis_weights(t)
+    assert metropolis_weights(t) is w
+    run("vrgt", t, make_benchmark(6, 3, seed=0), Schedule(step_size=0.05),
+        StopRule("rounds", 3), seed=0)
+    assert built == [t]
+    # An equal but distinct topology gets its own, equal, matrix.
+    twin = build_topology("ring", 6)
+    assert metropolis_weights(twin) is not w
+    np.testing.assert_array_equal(metropolis_weights(twin).w, w.w)
+    assert len(built) == 2
 
 
 def test_mixing_matrix_rejects_bad_inputs():
@@ -159,6 +220,16 @@ def test_double_stochasticity_and_contraction(kind, n):
     assert np.max(np.abs(w.w.sum(axis=0) - 1.0)) <= 1e-12
     assert np.max(np.abs(w.w.sum(axis=1) - 1.0)) <= 1e-12
     assert w.sigma < 1.0
+    # The per-edge loop gives the same matrix bit for bit.
+    deg = np.zeros(n, dtype=np.int64)
+    for i, j in t.edges:
+        deg[i] += 1
+        deg[j] += 1
+    ref = np.zeros((n, n))
+    for i, j in t.edges:
+        ref[i, j] = ref[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+    np.testing.assert_array_equal(w.w, ref)
     # Off-pattern entries are exactly zero.
     adj = np.eye(n, dtype=bool)
     for i, j in t.edges:

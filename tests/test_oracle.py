@@ -140,6 +140,28 @@ def nearly_symmetric_quadratic():
     return make_quadratic(2, 3, quad=quad, shift=shift)
 
 
+@pytest.mark.parametrize("points_per_row", [2, 6], ids=["pair", "sweep"])
+def test_quadratic_rows_match_fsum_reference(points_per_row):
+    # Q_0 is asymmetric by 1e-11: gradients must keep the Q_ij * diff_j
+    # reading, which a Q^T contraction misses by ~1e-11.
+    spec = nearly_symmetric_quadratic()
+    rng = np.random.default_rng(9)
+    agents = rng.integers(0, spec.n_agents, size=7)
+    points = rng.standard_normal((7, points_per_row, spec.dim))
+    values = ZerothOrderOracle(spec).evaluate_rows(agents, points)
+    for b, agent in enumerate(agents):
+        q, shift = spec.quad[agent], spec.shift[agent]
+        for m, x in enumerate(points[b]):
+            diff = (x - shift).tolist()
+            rows = [[q[i, j] * diff[j] for j in range(spec.dim)] for i in range(spec.dim)]
+            want = 0.5 * math.fsum(diff[i] * t for i in range(spec.dim) for t in rows[i])
+            assert values[b, m] == pytest.approx(want, rel=1e-12, abs=0.0)
+            grad = analytic_grad(spec, agent, x)
+            for i, terms in enumerate(rows):
+                scale = math.fsum(abs(t) for t in terms)
+                assert abs(grad[i] - math.fsum(terms)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("maker", [
     lambda: make_benchmark(4, 3, seed=5),
     lambda: make_quadratic(4, 3, seed=5,
@@ -209,5 +231,14 @@ def test_spec_validation():
                       zeta=[[0.0], [0.0]])  # beta mean != 1
     with pytest.raises(ValueError):
         make_quadratic(1, 2, quad=np.array([[[1.0, 2.0], [0.0, 1.0]]]))  # asymmetric
+    # The first offending agent is named, whichever check it fails.
+    quad = np.stack([np.eye(2)] * 4)
+    quad[2, 0, 1] = 1e-9
+    quad[3] = -np.eye(2)
+    with pytest.raises(ValueError, match=r"^quad\[2\] is not symmetric$"):
+        make_quadratic(4, 2, quad=quad)
+    quad[1] = np.diag([1.0, -1e-9])
+    with pytest.raises(ValueError, match=r"^quad\[1\] is not PSD$"):
+        make_quadratic(4, 2, quad=quad)
     with pytest.raises(ValueError):
         ObjectiveSpec(kind="mystery", n_agents=1, dim=1)
