@@ -101,7 +101,6 @@ class RunState:
     snapshots: SnapshotBlock | None = None
     p: float = 0.0
     counting_mode: str = "paper_faithful"
-    last_refreshes: int = 0
 
 
 def init_dgd2p(oracle: ZerothOrderOracle, x0: np.ndarray,
@@ -183,7 +182,6 @@ def vrgt_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
         hit = np.flatnonzero(state.rng.random(n) < state.p)
         if hit.size:
             snap.capture_rows(state.oracle, hit, x[hit], u)
-        state.last_refreshes = int(hit.size)
         return vr_estimate(state.oracle, snap, x, u, l, state.counting_mode)
 
     return _track(state, w, schedule, estimate)

@@ -106,7 +106,9 @@ class ExperimentConfig:
 
 # The INI layout in file order: (section, key, ExperimentConfig field, parse).
 # The writer omits prob when it is None and p/counting_mode outside vrgt; the
-# reader requires every key but the optional ones, which take the defaults.
+# reader requires every key but the optional ones, which take the defaults,
+# and rejects any key the layout does not list for its section.  Values are
+# literal: no interpolation, so a `%` reads back as written.
 _LAYOUT = (
     ("topology", "kind", "topology_kind", str),
     ("topology", "n", "topology_n", int),
@@ -141,7 +143,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         if value is None or (field in ("p", "counting_mode") and cfg.algorithm != "vrgt"):
             continue
         sections.setdefault(section, {})[key] = repr(value) if parse is float else str(value)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
@@ -149,16 +151,21 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
+    parser = configparser.ConfigParser(interpolation=None)
     try:
+        parser.read_string(text)
+        known = {(section, key) for section, key, *_ in _LAYOUT}
+        for section in parser.sections():
+            for key in parser[section]:
+                if (section, key) not in known:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
         sections = {section: parser[section] for section, *_ in _LAYOUT}
         return ExperimentConfig(**{
             field: parse(sections[section][key])
             for section, key, field, parse in _LAYOUT
             if field not in _OPTIONAL or key in sections[section]
         })
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, configparser.Error) as err:
         raise ValueError(f"malformed experiment config: {err}") from err
 
 
@@ -230,10 +237,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     return path
 
 
-def _suite_base(seed: int, dim: int = _SUITE_DIM, n: int = _SUITE_AGENTS) -> ExperimentConfig:
+def _suite_base(seed: int, dim: int = _SUITE_DIM) -> ExperimentConfig:
     kind, prob = _SUITE_TOPOLOGY
     return ExperimentConfig(
-        topology_kind=kind, topology_n=n, topology_seed=seed, topology_prob=prob,
+        topology_kind=kind, topology_n=_SUITE_AGENTS, topology_seed=seed, topology_prob=prob,
         objective_kind="benchmark", objective_dim=dim, objective_seed=seed,
         algorithm="vrgt", step_size=0.02, u0=3.0, u_decay=0.75,
         stop_kind="queries", stop_limit=1, seed=seed, x0_scale=0.25,

@@ -49,6 +49,11 @@ class Topology:
                 f"graph with {self.n_agents} agents and {len(self.edges)} edges is disconnected"
             )
 
+    @cached_property
+    def _metropolis(self) -> MixingMatrix:
+        # Built on first read and kept on this instance; see metropolis_weights.
+        return _build_metropolis(self)
+
 
 @dataclass(frozen=True)
 class MixingMatrix:
@@ -214,11 +219,7 @@ def metropolis_weights(t: Topology) -> MixingMatrix:
 
     Built once per Topology instance and cached on it, so every call with
     the same topology returns the same MixingMatrix."""
-    w = t.__dict__.get("_metropolis")
-    if w is None:
-        w = _build_metropolis(t)
-        object.__setattr__(t, "_metropolis", w)
-    return w
+    return t._metropolis
 
 
 def _build_metropolis(t: Topology) -> MixingMatrix:

@@ -30,8 +30,6 @@ class ContractionCertificate:
     argument needs.
     """
 
-    a: np.ndarray
-    pi: np.ndarray
     weighted_norm: float
     spectral_radius: float
     bound: float
@@ -128,7 +126,7 @@ def certify_contraction(sigma: float, d: int, alpha_l: float) -> ContractionCert
     weighted_norm = float(np.max((a @ pi) / pi))
     spectral_radius = float(np.max(np.abs(np.linalg.eigvals(a))))
     bound = 1.0 - (1.0 - sigma**2) / (2.0 * d)
-    return ContractionCertificate(a=a, pi=pi, weighted_norm=weighted_norm,
+    return ContractionCertificate(weighted_norm=weighted_norm,
                                   spectral_radius=spectral_radius, bound=bound,
                                   satisfied=weighted_norm <= bound + 1e-12)
 

@@ -54,8 +54,8 @@ def coordinate(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float,
     xp[l] += u
     xm = x.copy()
     xm[l] -= u
-    fp = oracle.evaluate(agent, xp)
-    fm = oracle.evaluate(agent, xm)
+    fp = oracle.evaluate_rows(np.array([agent]), xp.reshape(1, 1, d))[0, 0]
+    fm = oracle.evaluate_rows(np.array([agent]), xm.reshape(1, 1, d))[0, 0]
     out = np.zeros(d)
     out[l] = d * ((fp - fm) / (2.0 * u))
     return out

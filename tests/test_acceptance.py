@@ -137,7 +137,7 @@ def test_criterion_05_tracking_identity():
              worst < 1e-9, f"worst deviation {worst:.2e}")
 
 
-def test_criterion_06_query_accounting():
+def test_criterion_06_query_accounting(refreshed):
     n, d, rounds, p = 4, 64, 10_000, 0.1
     topo = dzo.build_topology("complete", n)
     w = dzo.metropolis_weights(topo)
@@ -147,10 +147,9 @@ def test_criterion_06_query_accounting():
     x0 = np.tile(0.25 * np.random.default_rng(9).standard_normal(d), (n, 1))
     state = init_vrgt(oracle, x0, sch, np.random.default_rng(123), p=p,
                       counting_mode="paper_faithful")
-    refreshes = 0
     for _ in range(rounds):
         vrgt_step(state, w, sch)
-        refreshes += state.last_refreshes
+    refreshes = sum(refreshed)
     per_agent_round = oracle.total_queries / (n * rounds)
     target = 4 + 2 * d * p
     closed_form = oracle.total_queries == 2 * d * n + 4 * n * rounds + 2 * d * refreshes

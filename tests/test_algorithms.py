@@ -134,7 +134,7 @@ def test_gt2d_query_cost():
         assert oracle.total_queries == 2 * 4 * 5 * (k + 1)
 
 
-def test_vrgt_p0_keeps_initial_snapshot():
+def test_vrgt_p0_keeps_initial_snapshot(refreshed):
     topo = build_topology("ring", 3)
     w = metropolis_weights(topo)
     spec = make_benchmark(3, 4, seed=6)
@@ -147,7 +147,7 @@ def test_vrgt_p0_keeps_initial_snapshot():
         vrgt_step(state, w, sch)
     np.testing.assert_array_equal(state.snapshots.x_tilde, x0)
     np.testing.assert_array_equal(state.snapshots.full, full0)
-    assert state.last_refreshes == 0
+    assert refreshed == []
 
 
 def test_vrgt_round_matches_per_agent_estimators():
@@ -246,7 +246,7 @@ def test_consensus_fixed_point():
     np.testing.assert_allclose(state.x, x0, atol=1e-12)
 
 
-def test_vrgt_query_accounting():
+def test_vrgt_query_accounting(refreshed):
     n, d = 4, 6
     topo = build_topology("ring", n)
     w = metropolis_weights(topo)
@@ -254,15 +254,16 @@ def test_vrgt_query_accounting():
     sch = Schedule(step_size=0.02)
 
     for mode, per_round_base in (("paper_faithful", 4 * n), ("cached", 2 * n)):
+        refreshed.clear()
         oracle = ZerothOrderOracle(spec)
         state = init_vrgt(oracle, shared_start(d, n), sch, np.random.default_rng(9),
                           p=0.3, counting_mode=mode)
         assert oracle.total_queries == 2 * d * n
-        expected = 2 * d * n
-        for _ in range(50):
+        for k in range(1, 51):
             vrgt_step(state, w, sch)
-            expected += per_round_base + 2 * d * state.last_refreshes
+            expected = 2 * d * n + k * per_round_base + 2 * d * sum(refreshed)
             assert oracle.total_queries == expected
+        assert 0 < sum(refreshed) < 50 * n
 
 
 def test_dgd2p_query_accounting():

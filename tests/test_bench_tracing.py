@@ -1,0 +1,40 @@
+"""The benchmark's tracer (bench/spans.py) swaps attributes of dzo modules
+for timing wrappers.  This checks that every name it wraps is still one the
+program calls, so a renamed or bypassed function shows up here rather than
+as a silently empty per-layer metric."""
+
+from pathlib import Path
+
+import dzo
+from dzo.algorithms import ALGORITHMS
+from dzo.harness import ExperimentConfig, run_config
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_sees_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    originals = (dzo.oracle.ZerothOrderOracle.evaluate_rows, dzo.algorithms.vrgt_step,
+                 dzo.algorithms.metropolis_weights, dzo.harness.build_topology)
+    tracer = spans.Tracer()
+    spans.install(tracer, dzo)
+    try:
+        finals = [run_config(ExperimentConfig(
+            topology_kind="ring", topology_n=4, topology_seed=0,
+            objective_kind="benchmark", objective_dim=5, objective_seed=1,
+            algorithm=name, step_size=0.05, p=0.5,
+            stop_kind="rounds", stop_limit=3, seed=2))[-1]
+            for name in ALGORITHMS]
+    finally:
+        tracer.unpatch()
+    _, _, calls = tracer.totals()
+    for span in ("network.build_topology", "network.metropolis_weights", "algorithms.init",
+                 *(f"algorithms.step.{name}" for name in ALGORITHMS),
+                 "metrics.compute", "oracle.sweep", "oracle.pair"):
+        assert calls[span] > 0, span
+    assert calls["metrics.compute"] == 3 * len(ALGORITHMS)
+    assert tracer.counts["oracle.queries"] == sum(row.m for row in finals)
+    assert (dzo.oracle.ZerothOrderOracle.evaluate_rows, dzo.algorithms.vrgt_step,
+            dzo.algorithms.metropolis_weights, dzo.harness.build_topology) == originals

@@ -10,7 +10,7 @@ import pytest
 
 import dzo
 from dzo.cli import main
-from dzo.harness import ExperimentConfig, config_to_text, read_csv
+from dzo.harness import ExperimentConfig, config_from_text, config_to_text, read_csv
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -73,6 +73,20 @@ def test_run_subcommand_bad_config(tmp_path, capsys):
     bad.write_text("[topology]\nkind = ring\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_subcommand_rejects_misspelled_key(tmp_path, capsys):
+    cfg = ExperimentConfig(
+        topology_kind="ring", topology_n=4, topology_seed=0,
+        objective_kind="benchmark", objective_dim=5, objective_seed=2,
+        algorithm="vrgt", step_size=0.05,
+        stop_kind="rounds", stop_limit=3, seed=9, out="typo.csv",
+    )
+    ini = tmp_path / "exp.ini"
+    ini.write_text(config_to_text(cfg).replace("counting_mode =", "counting_mod ="))
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'counting_mod'" in capsys.readouterr().err
+    assert not (tmp_path / "typo.csv").exists()
 
 
 def test_compare_subcommand(tmp_path, capsys):
@@ -155,6 +169,18 @@ def test_readme_quick_start():
     scope = {}
     exec(code, scope)
     assert math.isfinite(scope["rows"][-1].stat_gap)
+
+
+def test_readme_config_block():
+    readme = (REPO / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert config_from_text(text) == ExperimentConfig(
+        topology_kind="erdos_renyi", topology_n=50, topology_seed=0, topology_prob=0.2,
+        objective_kind="benchmark", objective_dim=64, objective_seed=0,
+        algorithm="vrgt", step_size=0.02, p=0.1, counting_mode="paper_faithful",
+        u0=3.0, u_decay=0.75, step_decay=0.0, stop_kind="queries", stop_limit=2_500_000,
+        seed=0, x0_scale=1.0, x0_mode="shared", out="run.csv",
+    )
 
 
 def test_stepsize_tables_script():

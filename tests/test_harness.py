@@ -117,8 +117,9 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_config_rejects_garbage():
-    with pytest.raises(ValueError):
-        config_from_text("[topology]\nkind = ring\n")
+    for text in ("[topology]\nkind = ring\n", "kind = ring\n"):  # the second has no section
+        with pytest.raises(ValueError, match="malformed experiment config"):
+            config_from_text(text)
     for key in ("u0", "u_decay"):  # required although ExperimentConfig has defaults
         with pytest.raises(ValueError, match=f"malformed experiment config: '{key}'"):
             config_from_text(without_keys(config_to_text(tiny_config()), key))
@@ -128,6 +129,27 @@ def test_config_rejects_garbage():
         tiny_config(stop_limit=0)
     with pytest.raises(ValueError):
         tiny_config(x0_mode="spread")
+
+
+def test_config_rejects_unknown_keys():
+    text = config_to_text(tiny_config())
+    for right, wrong in (("counting_mode", "counting_mod"), ("x0_scale", "x0scale")):
+        assert f"\n{right} = " in text
+        misspelled = text.replace(f"\n{right} = ", f"\n{wrong} = ")
+        with pytest.raises(ValueError, match=f"malformed experiment config: unknown key '{wrong}'"):
+            config_from_text(misspelled)
+
+
+def test_config_with_percent_round_trips(tmp_path):
+    cfg = tiny_config(out="runs/100%.csv")
+    text = config_to_text(cfg)
+    assert "out = runs/100%.csv\n" in text
+    assert config_from_text(text) == cfg
+    path = run_experiment(cfg, out_dir=tmp_path / "a")
+    sidecar = path.with_suffix(".csv.config")
+    assert path.name == "100%.csv" and sidecar.read_text() == text
+    again = run_experiment(load_config(sidecar), out_dir=tmp_path / "b")
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_csv_schema_and_round_trip(tmp_path):

@@ -61,18 +61,19 @@ def test_benchmark_value_at_origin():
     oracle = ZerothOrderOracle(spec)
     for i in range(2):
         expect = spec.alpha[i] / (1.0 + np.exp(-spec.v[i]))
-        assert oracle.evaluate(i, np.zeros(3)) == pytest.approx(expect, rel=1e-14)
+        value = oracle.evaluate_rows(np.array([i]), np.zeros((1, 1, 3)))[0, 0]
+        assert value == pytest.approx(expect, rel=1e-14)
 
 
 def test_quadratic_and_linear_values():
     quad = make_quadratic(1, 2)
     oracle = ZerothOrderOracle(quad)
-    assert oracle.evaluate(0, np.array([3.0, 4.0])) == 12.5
+    assert oracle.evaluate_rows(np.array([0]), np.array([[[3.0, 4.0]]]))[0, 0] == 12.5
     assert oracle.query_count[0] == 1
 
     lin = make_linear(1, 2, coef=[[1.0, -2.0]])
     oracle = ZerothOrderOracle(lin)
-    assert oracle.evaluate(0, np.array([2.0, 1.0])) == 0.0
+    assert oracle.evaluate_rows(np.array([0]), np.array([[[2.0, 1.0]]]))[0, 0] == 0.0
 
 
 def test_log_barrier_unit_level_set():
@@ -186,25 +187,29 @@ def test_quadratic_gradient_identity():
 def test_query_counters():
     spec = make_benchmark(3, 4, seed=0)
     oracle = ZerothOrderOracle(spec)
-    oracle.evaluate(1, np.zeros(4))
-    oracle.evaluate(1, np.ones(4))
+    oracle.evaluate_rows(np.array([1]), np.zeros((1, 2, 4)))
     pts = np.zeros((3, 5, 4))
     oracle.evaluate_rows(np.arange(3), pts)
-    np.testing.assert_array_equal(oracle.query_count, [5, 7, 5])
-    assert oracle.total_queries == 17
-    # batched values agree with scalar evaluation
+    # a repeated agent is charged once per row
+    oracle.evaluate_rows(np.array([0, 0]), np.zeros((2, 1, 4)))
+    np.testing.assert_array_equal(oracle.query_count, [7, 7, 5])
+    assert oracle.total_queries == 19
+    # batched values agree with the uncounted single-point evaluation
     vals = ZerothOrderOracle(spec).evaluate_rows(np.array([2]), np.ones((1, 1, 4)))
-    assert vals[0, 0] == ZerothOrderOracle(spec).evaluate(2, np.ones(4))
+    assert vals[0, 0] == objective_value(spec, 2, np.ones(4))
 
 
-def test_evaluate_rejects_bad_input():
+def test_evaluate_rows_rejects_bad_input():
     oracle = ZerothOrderOracle(make_benchmark(2, 3, seed=0))
+    agents = np.arange(2)
+    for bad in (np.zeros((2, 3)),          # 2-D points
+                np.zeros((3, 1, 3)),       # rows differ from len(agents)
+                np.zeros((2, 1, 2))):      # wrong trailing dimension
+        with pytest.raises(ValueError, match="points must be"):
+            oracle.evaluate_rows(agents, bad)
     with pytest.raises(IndexError):
-        oracle.evaluate(5, np.zeros(3))
-    with pytest.raises(ValueError):
-        oracle.evaluate(0, np.array([np.nan, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        oracle.evaluate(0, np.zeros(2))
+        oracle.evaluate_rows(np.array([5]), np.zeros((1, 1, 3)))
+    assert oracle.total_queries == 0
 
 
 def test_smoothness_quadratic_bracketed():
@@ -219,8 +224,8 @@ def test_smoothness_linear_tiny():
 
 def test_smoothness_reproducible():
     spec = make_benchmark(4, 64, seed=42)
-    a = estimate_smoothness(spec, seed=0)
-    b = estimate_smoothness(spec, seed=0)
+    a = estimate_smoothness(spec)
+    b = estimate_smoothness(spec)
     assert a == b and np.isfinite(a) and a > 0
 
 
