@@ -138,9 +138,14 @@ def _values_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) ->
         return spec.alpha[agents][:, None] * _sigmoid(t) \
             + spec.beta[agents][:, None] * np.log1p(sq)
     if spec.kind == "quadratic":
-        diff = points - spec.shift[agents][:, None, :]
-        qd = np.matmul(diff, spec.quad[agents].transpose(0, 2, 1))
-        return 0.5 * np.einsum("bmi,bmi->bm", diff, qd)
+        n = spec.n_agents
+        if agents.shape[0] == n and np.array_equal(agents, np.arange(n)):
+            quad, shift = spec.quad, spec.shift     # every agent in order: no gather
+        else:
+            quad, shift = spec.quad[agents], spec.shift[agents]
+        diff = points - shift[:, None, :]
+        # d^T Q d read as (d^T Q) . d, so matmul takes Q as stored, contiguous.
+        return 0.5 * np.einsum("bmi,bmi->bm", diff, np.matmul(diff, quad))
     if spec.kind == "linear":
         return np.einsum("bmd,bd->bm", points, spec.coef[agents])
     raise AssertionError(spec.kind)
@@ -157,6 +162,7 @@ def _grads_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> 
         part2 = (spec.beta[agents][:, None] * 2.0 / (1.0 + sq))[:, :, None] * points
         return part1 + part2
     if spec.kind == "quadratic":
+        # The gradient is Q . diff itself, so it keeps that reading; no run calls it.
         diff = points - spec.shift[agents][:, None, :]
         return np.matmul(diff, spec.quad[agents].transpose(0, 2, 1))
     if spec.kind == "linear":
@@ -214,13 +220,17 @@ class ZerothOrderOracle:
     def evaluate_rows(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Batched queries: points[b, m, :] against agent agents[b]; (B, m).
 
-        Each of the m points charges one query to the owning agent.
+        Each of the m points charges one query to the owning agent.  A row
+        outside [0, N) raises IndexError before any query is charged.
         """
         agents = np.asarray(agents, dtype=np.int64)
         points = np.asarray(points, dtype=float)
         if points.ndim != 3 or points.shape[0] != agents.shape[0] \
                 or points.shape[2] != self.spec.dim:
             raise ValueError(f"points must be (B, m, {self.spec.dim}), got {points.shape}")
+        if agents.size and agents.min() < 0:
+            raise IndexError(f"agent rows must be in [0, {self.spec.n_agents}), "
+                             f"got {agents.min()}")
         np.add.at(self.query_count, agents, points.shape[1])
         return _values_rows(self.spec, agents, points)
 

@@ -1,9 +1,13 @@
 """Golden trajectories: short runs of every algorithm and both vrgt counting
 modes, pinned as CSV fixtures in ``tests/data/``.
 
-Each case is a ring of 8 agents on the 16-dimensional benchmark objective,
-200 rounds.  ``k`` and ``m`` must match exactly: query counts per round are
-part of the contract.  The three float columns are compared at ``RTOL``.
+Four cases are a ring of 8 agents on the 16-dimensional benchmark objective,
+200 rounds, which mixes through the dense product.  Two more are the bignet
+benchmark workload cut to 30 rounds: ER(0.01) with 1000 agents, which mixes
+through the neighbour list, on the seeded 16-dimensional quadratic, with
+dgd2p and vrgt (``paper_faithful``, p = 0.1).  ``k`` and ``m`` must match
+exactly: query counts per round are part of the contract.  The three float
+columns are compared at ``RTOL``.
 
 Why ``RTOL = 1e-6``: byte-identical replay only holds for the same numpy and
 BLAS build (another build may sum a matrix product in another order), and a
@@ -17,13 +21,15 @@ late in the run, which are small differences of nearly equal terms.
 1e-6 leaves ~8x headroom over that, while a change to any estimator
 formula, schedule or mixing step moves the columns far more.  ``ATOL`` only
 covers the round-1 ``consensus_err`` of a shared start, the rounding residue
-of ``W @ x0`` (4.9e-33 here), which another BLAS may sum differently; every
-other value in the fixtures is above 1e-12.
+of ``W @ x0`` (4.9e-33 on the ring, 1.8e-27 on bignet vrgt), which another
+BLAS may sum differently; every other value in the fixtures is above 1e-12.
 
-Regenerate the fixtures, only when a trajectory change is intended, with
-``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate fixtures, only when a trajectory change is intended, with
+``PYTHONPATH=src python tests/test_golden.py [case ...]``; with no case
+named it rewrites all of them.
 """
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,11 +48,19 @@ BASE = ExperimentConfig(
     algorithm="vrgt", step_size=0.02, p=0.2,
     stop_kind="rounds", stop_limit=200, seed=17, x0_scale=0.25,
 )
+BIGNET = ExperimentConfig(
+    topology_kind="erdos_renyi", topology_n=1000, topology_seed=3, topology_prob=0.01,
+    objective_kind="quadratic", objective_dim=16, objective_seed=3,
+    algorithm="dgd2p", step_size=0.05,
+    stop_kind="rounds", stop_limit=30, seed=3,
+)
 CASES = {
     "dgd2p": replace(BASE, algorithm="dgd2p"),
     "gt2d": replace(BASE, algorithm="gt2d"),
     "vrgt_paper_faithful": replace(BASE, counting_mode="paper_faithful"),
     "vrgt_cached": replace(BASE, counting_mode="cached"),
+    "bignet_dgd2p": BIGNET,
+    "bignet_vrgt_paper_faithful": replace(BIGNET, algorithm="vrgt", p=0.1),
 }
 
 
@@ -62,7 +76,7 @@ def test_golden_trajectory(name):
     for column in ("stat_gap", "consensus_err", "tracking_err"):
         a = [getattr(r, column) for r in got]
         b = [getattr(r, column) for r in want]
-        if name == "dgd2p" and column == "tracking_err":
+        if CASES[name].algorithm == "dgd2p" and column == "tracking_err":
             assert a == b == [None] * len(b)
             continue
         np.testing.assert_allclose(a, b, rtol=RTOL, atol=ATOL, err_msg=f"{name} {column}")
@@ -70,6 +84,6 @@ def test_golden_trajectory(name):
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for case, cfg in CASES.items():
-        fixture_path(case).write_text(rows_to_csv(run_config(cfg)), newline="\n")
+    for case in sys.argv[1:] or CASES:
+        fixture_path(case).write_text(rows_to_csv(run_config(CASES[case])), newline="\n")
         print(fixture_path(case))

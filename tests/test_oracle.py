@@ -163,6 +163,38 @@ def test_quadratic_rows_match_fsum_reference(points_per_row):
                 assert abs(grad[i] - math.fsum(terms)) <= 1e-12 * scale
 
 
+ROW_LISTS = {   # for n >= 2 agents
+    "all": lambda n: np.arange(n),
+    "permuted": lambda n: np.roll(np.arange(n), 1),
+    "duplicates": lambda n: np.arange(n) // 2,
+    "subset": lambda n: np.arange(n - 1, 0, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_LISTS))
+def test_quadratic_row_lists(name):
+    # Only every agent in order is read from the spec in place; any other
+    # row list gathers.  An agent's values must not depend on which ran.
+    rng = np.random.default_rng(10)
+    seeded = make_quadratic(5, 4, seed=3, shift=rng.standard_normal((5, 4)))
+    for spec in (seeded, nearly_symmetric_quadratic()):
+        n = spec.n_agents
+        rows = ROW_LISTS[name](n)
+        points = rng.standard_normal((n, 3, spec.dim))    # points[i] go to agent i
+        oracle = ZerothOrderOracle(spec)
+        values = oracle.evaluate_rows(rows, points[rows])
+        np.testing.assert_array_equal(oracle.query_count, 3 * np.bincount(rows, minlength=n))
+        in_order = ZerothOrderOracle(spec).evaluate_rows(np.arange(n), points)
+        np.testing.assert_array_equal(values, in_order[rows])
+        for b, agent in enumerate(rows):
+            q, shift = spec.quad[agent], spec.shift[agent]
+            for m, x in enumerate(points[agent]):
+                diff = (x - shift).tolist()
+                want = 0.5 * math.fsum(diff[i] * q[i, j] * diff[j]
+                                       for i in range(spec.dim) for j in range(spec.dim))
+                assert values[b, m] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("maker", [
     lambda: make_benchmark(4, 3, seed=5),
     lambda: make_quadratic(4, 3, seed=5,
@@ -207,8 +239,9 @@ def test_evaluate_rows_rejects_bad_input():
                 np.zeros((2, 1, 2))):      # wrong trailing dimension
         with pytest.raises(ValueError, match="points must be"):
             oracle.evaluate_rows(agents, bad)
-    with pytest.raises(IndexError):
-        oracle.evaluate_rows(np.array([5]), np.zeros((1, 1, 3)))
+    for rows in ([5], [1, 5], [-1], [0, -2]):  # past N, or negative
+        with pytest.raises(IndexError):
+            oracle.evaluate_rows(np.array(rows), np.zeros((len(rows), 1, 3)))
     assert oracle.total_queries == 0
 
 
