@@ -112,7 +112,7 @@ def init_gt2d(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
               rng: np.random.Generator) -> RunState:
     """Seed the tracker with the round-0 sweep (2d queries per agent) so the
     tracking identity holds from the start."""
-    g0, _ = sweep(oracle, np.arange(len(x0)), x0, schedule.smoothing_at(0))
+    g0 = sweep(oracle, np.arange(len(x0)), x0, schedule.smoothing_at(0))
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng, s=g0.copy(), g_prev=g0)
 
 
@@ -162,7 +162,7 @@ def gt2d_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
     """Tracked descent with a fresh full sweep at the new iterate; 2d queries
     per agent (the previous sweep is reused, not recomputed)."""
     rows = np.arange(len(state.x))
-    return _track(state, w, schedule, lambda x, u: sweep(state.oracle, rows, x, u)[0])
+    return _track(state, w, schedule, lambda x, u: sweep(state.oracle, rows, x, u))
 
 
 def vrgt_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
@@ -196,7 +196,8 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
     The trajectory is fully determined by the arguments: the master seed
     derives one stream for the initial point and one consumed by the rounds
     in a fixed order.  All agents start from the same point unless
-    heterogeneous_x0 is set.
+    heterogeneous_x0 is set.  A queries stop rule that initialization alone
+    meets raises ValueError, since no round would run.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -219,6 +220,9 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         state, step = init_gt2d(oracle, x0, schedule, rng), gt2d_step
     else:
         state, step = init_vrgt(oracle, x0, schedule, rng, p, counting_mode), vrgt_step
+    if stop.kind == "queries" and oracle.total_queries >= stop.limit:
+        raise ValueError(f"{algorithm} initialization costs {oracle.total_queries} queries, "
+                         f"which already meets the stop limit of {stop.limit}")
 
     rows: list[MetricsRow] = []
     while (state.k if stop.kind == "rounds" else oracle.total_queries) < stop.limit:

@@ -103,7 +103,7 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     oracle = ZerothOrderOracle(spec)
     x = rng.standard_normal((1, 6))
     snap = SnapshotBlock(oracle, x + 0.1, 0.05)
-    full, _ = sweep(oracle, np.array([0]), x, 0.03)
+    full = sweep(oracle, np.array([0]), x, 0.03)
     avg = np.mean([vr_estimate(oracle, snap, x, 0.03, np.array([l]), "paper_faithful")
                    for l in range(6)], axis=0)
     check("variance-reduced estimate averages to the full sweep",

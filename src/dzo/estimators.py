@@ -11,7 +11,7 @@ in one place.
 ``SnapshotBlock`` row) on one coordinate; it is conditionally unbiased for
 the sweep at the iterate.  ``paper_faithful`` accounting re-queries the
 snapshot coordinate pair (4 fresh queries per row, 4 + 2dp on average with
-refresh probability p); ``cached`` serves it from the stored sweep values
+refresh probability p); ``cached`` serves it from the stored sweep
 (2 + 2dp).  Both modes return bit-identical estimates.
 """
 
@@ -50,12 +50,11 @@ def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: flo
 
 
 def _stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
-             coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             coords: np.ndarray) -> np.ndarray:
     """Central differences at row i along each coordinate in coords[i].
 
     coords is (n, m), or (1, m) shared by every row.  u is a scalar or one
-    radius per row.  Returns the (n, m) quotients and the raw (n, 2m)
-    values, h(x + u e_c) for every c first, then h(x - u e_c).
+    radius per row.  Returns the (n, m) quotients.
     """
     (n, d), m = x.shape, coords.shape[1]
     u = u[:, None] if isinstance(u, np.ndarray) else u
@@ -66,41 +65,40 @@ def _stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
     flat[at] += u
     flat[at + m * d] -= u
     vals = oracle.evaluate_rows(rows, pts)
-    return (vals[:, :m] - vals[:, m:]) / (2.0 * u), vals
+    return (vals[:, :m] - vals[:, m:]) / (2.0 * u)
 
 
 def sweep(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray,
-          u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full coordinate sweep: the (n, d) estimate and the raw (n, 2d) values
-    [h(x + u e_0), ..., h(x + u e_{d-1}), h(x - u e_0), ...]."""
+          u: float) -> np.ndarray:
+    """Full coordinate sweep: the (n, d) estimate, 2d queries per row."""
     return _stencil(oracle, rows, x, u, np.arange(x.shape[1])[None])
 
 
 def coord_pair(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
                l: np.ndarray) -> np.ndarray:
     """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,)."""
-    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[0][:, 0]
+    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[:, 0]
 
 
 class SnapshotBlock:
-    """Per-agent snapshot points x_tilde, their radii u_tilde, the sweep
-    ``full`` taken there and the raw ``values`` behind it.
+    """Per-agent snapshot points x_tilde, their radii u_tilde and the sweep
+    ``full`` taken there.
 
-    full[i, l] == (values[i, l] - values[i, d + l]) / (2 u_tilde[i]) by
-    construction, so coordinate terms at a snapshot need no new queries.
+    full[i, l] is the coordinate-l quotient at (x_tilde[i], u_tilde[i]), so
+    coordinate terms at a snapshot need no new queries.
     """
 
     def __init__(self, oracle: ZerothOrderOracle, x: np.ndarray, u: float):
         self.x_tilde = x.copy()
         self.u_tilde = np.full(len(x), float(u))
-        self.full, self.values = sweep(oracle, np.arange(len(x)), x, u)
+        self.full = sweep(oracle, np.arange(len(x)), x, u)
 
     def capture_rows(self, oracle: ZerothOrderOracle, rows: np.ndarray,
                      x_rows: np.ndarray, u: float) -> None:
         """Refresh the given agents' snapshots at (x_rows, u); 2d queries each."""
         self.x_tilde[rows] = x_rows
         self.u_tilde[rows] = u
-        self.full[rows], self.values[rows] = sweep(oracle, rows, x_rows, u)
+        self.full[rows] = sweep(oracle, rows, x_rows, u)
 
 
 def vr_estimate(oracle: ZerothOrderOracle, snap: SnapshotBlock, x: np.ndarray, u: float,
@@ -118,7 +116,7 @@ def vr_estimate(oracle: ZerothOrderOracle, snap: SnapshotBlock, x: np.ndarray, u
     if counting_mode == "paper_faithful":
         q_snap = coord_pair(oracle, rows, snap.x_tilde, snap.u_tilde, l)
     else:
-        q_snap = (snap.values[rows, l] - snap.values[rows, d + l]) / (2.0 * snap.u_tilde)
+        q_snap = snap.full[rows, l]
     g = snap.full.copy()
     g[rows, l] += d * q_x - d * q_snap
     return g

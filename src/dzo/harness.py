@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import configparser
 import io
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .algorithms import ALGORITHMS, Schedule, StopRule, run
+from .estimators import check_mode
 from .metrics import MetricsRow
 from .network import Topology, TopologyKind, build_topology
 from .oracle import ObjectiveSpec, make_benchmark, make_linear, make_quadratic
@@ -85,6 +83,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.x0_mode not in ("shared", "heterogeneous"):
             raise ValueError(f"x0_mode must be shared or heterogeneous, got {self.x0_mode!r}")
+        # Checked for every algorithm, though only vrgt reads them, so no
+        # config carries a value its sidecar would drop.
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"refresh probability must lie in [0, 1], got {self.p}")
+        check_mode(self.counting_mode)
         StopRule(self.stop_kind, self.stop_limit)  # validates
 
     def build_topology(self) -> Topology:
@@ -193,19 +196,6 @@ def write_csv(rows: list[MetricsRow], path: str | Path) -> Path:
     return path
 
 
-def read_csv(path: str | Path) -> list[MetricsRow]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path} is not a metrics CSV")
-    rows = []
-    for line in lines[1:]:
-        k, m, stat, cons, track = line.split(",")
-        rows.append(MetricsRow(k=int(k), m=int(m), stat_gap=float(stat),
-                               consensus_err=float(cons),
-                               tracking_err=float(track) if track else None))
-    return rows
-
-
 def run_config(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Execute a config in memory and return its rows."""
     return run(algorithm=cfg.algorithm,
@@ -286,21 +276,3 @@ def run_comparison(suite: str, seed: int, budget: int,
                    out_dir: str | Path = ".") -> list[Path]:
     """Run a whole suite and return its CSV paths (sidecars alongside)."""
     return [run_experiment(cfg, out_dir=out_dir) for cfg in suite_configs(suite, seed, budget)]
-
-
-def fit_decay_rate(rows: list[MetricsRow]) -> float:
-    """Least-squares slope of log(running average of stat_gap) against
-    log(k), over the last half of the series.  A series decaying like 1/k
-    fits a slope of -1."""
-    if len(rows) < 50:
-        raise ValueError(f"need at least 50 rows to fit, got {len(rows)}")
-    gaps = np.array([r.stat_gap for r in rows])
-    if np.any(gaps <= 0.0):
-        warnings.warn("clamping non-positive stationarity gaps before log fit",
-                      stacklevel=2)
-        gaps = np.maximum(gaps, 1e-300)
-    k = np.arange(1, len(gaps) + 1, dtype=float)
-    running = np.cumsum(gaps) / k
-    half = len(gaps) // 2
-    slope = np.polyfit(np.log(k[half:]), np.log(running[half:]), 1)[0]
-    return float(slope)

@@ -101,7 +101,7 @@ class MixingMatrix:
         # sigma < 1 is guaranteed for weights built from a connected graph
         # with positive diagonal; arbitrary matrices (e.g. the identity) may
         # sit at 1 and simply do not contract.
-        return spectral_gap(self.w)
+        return float(np.linalg.svd(self.w - 1.0 / self.n_agents, compute_uv=False)[0])
 
     @property
     def n_agents(self) -> int:
@@ -231,16 +231,6 @@ def _build_metropolis(t: Topology) -> MixingMatrix:
     w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(w=w)
-
-
-def spectral_gap(w: np.ndarray) -> float:
-    """Largest singular value of W - (1/N) 11^T for a doubly stochastic W."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    n = w.shape[0]
-    centered = w - np.full((n, n), 1.0 / n)
-    return float(np.linalg.svd(centered, compute_uv=False)[0])
 
 
 def mix(w: MixingMatrix, stacked: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ Three objective families are provided:
 * ``linear`` -- ``c . x`` (unbounded below; only useful for estimator tests).
 
 Algorithms may touch objectives only through :class:`ZerothOrderOracle`,
-which counts every function-value query per agent.  Analytic gradients are
-exposed as free functions for metrics and validation and are never counted.
+which counts every function-value query per agent.  The network gradient
+the metrics read and the smoothness estimate are uncounted free functions.
 """
 
 from __future__ import annotations
@@ -170,23 +170,11 @@ def _grads_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> 
     raise AssertionError(spec.kind)
 
 
-def objective_value(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> float:
-    """Uncounted f_i(x), the reference value tests compare the oracle with."""
-    pts = np.asarray(x, dtype=float).reshape(1, 1, spec.dim)
-    return float(_values_rows(spec, np.array([agent]), pts)[0, 0])
-
-
-def analytic_grad(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of f_i at x; never counted as a query."""
-    pts = np.asarray(x, dtype=float).reshape(1, 1, spec.dim)
-    return _grads_rows(spec, np.array([agent]), pts)[0, 0]
-
-
 def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the network objective f = (1/N) sum_i f_i at x.
 
-    Contracts over agents in closed form; equals the mean of
-    analytic_grad(spec, i, x) over agents i up to summation order.
+    Contracts over agents in closed form; equals the mean of the per-agent
+    gradients (_grads_rows) at x up to summation order.
     """
     x = np.asarray(x, dtype=float)
     n = spec.n_agents

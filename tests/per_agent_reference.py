@@ -121,11 +121,11 @@ def vr_ge(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float,
     return at_x - at_snap + snapshot.full
 
 
-def snapshot_of(block, agent: int) -> SnapshotState:
-    """One agent's snapshot out of a ``dzo.estimators.SnapshotBlock``."""
-    d = block.full.shape[1]
-    return SnapshotState(x_tilde=block.x_tilde[agent].copy(),
-                         u_tilde=float(block.u_tilde[agent]),
-                         f_plus=block.values[agent, :d].copy(),
-                         f_minus=block.values[agent, d:].copy(),
-                         full=block.full[agent].copy())
+def snapshot_of(block, agent: int, spec) -> SnapshotState:
+    """One agent's snapshot in a ``dzo.estimators.SnapshotBlock``, re-swept
+    on a fresh oracle for ``spec``; the block's stored sweep must equal the
+    re-sweep bitwise."""
+    snap = SnapshotState.capture(ZerothOrderOracle(spec), agent, block.x_tilde[agent],
+                                 float(block.u_tilde[agent]))
+    np.testing.assert_array_equal(block.full[agent], snap.full)
+    return snap

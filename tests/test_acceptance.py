@@ -11,9 +11,10 @@ import pytest
 import dzo
 from dzo.algorithms import Schedule, StopRule, init_gt2d, init_vrgt, gt2d_step, vrgt_step
 from dzo.estimators import SnapshotBlock, coord_pair, sweep, vr_estimate
-from dzo.harness import fit_decay_rate, run_experiment, suite_configs, run_config
-from dzo.oracle import ZerothOrderOracle, analytic_grad, estimate_smoothness, make_benchmark
+from dzo.harness import run_experiment, suite_configs, run_config
+from dzo.oracle import ZerothOrderOracle, estimate_smoothness, make_benchmark
 from dzo.theory import certify_contraction, contraction_step_limit, estimator_variance_limit
+from reference import analytic_grad, fit_decay_rate
 
 
 ROW = np.array([0])   # the criteria use single-agent oracles: one row, agent 0
@@ -24,7 +25,7 @@ def _vr(oracle, snap, x, u, l):
 
 
 def _full_sweep(oracle, x, u):
-    return sweep(oracle, ROW, x[None], u)[0][0]
+    return sweep(oracle, ROW, x[None], u)[0]
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -16,12 +16,12 @@ from dzo.algorithms import (
 from dzo.network import MixingMatrix, build_topology, metropolis_weights
 from dzo.oracle import (
     ZerothOrderOracle,
-    analytic_grad,
     make_benchmark,
     make_linear,
     make_quadratic,
 )
 from per_agent_reference import SnapshotState, snapshot_of, vr_ge
+from reference import analytic_grad
 
 
 def single_agent_weights():
@@ -150,7 +150,8 @@ def test_vrgt_p0_keeps_initial_snapshot(refreshed):
     assert refreshed == []
 
 
-def test_vrgt_round_matches_per_agent_estimators():
+@pytest.mark.parametrize("mode", ["paper_faithful", "cached"])
+def test_vrgt_round_matches_per_agent_estimators(mode):
     # One vectorized round must agree bitwise with the per-agent operations.
     n, d = 3, 5
     topo = build_topology("complete", n)
@@ -161,8 +162,8 @@ def test_vrgt_round_matches_per_agent_estimators():
     oracle = ZerothOrderOracle(spec)
     rng = np.random.default_rng(31)
     x0 = shared_start(d, n, seed=30)
-    state = init_vrgt(oracle, x0, sch, rng, p=0.5)
-    snaps0 = [snapshot_of(state.snapshots, i) for i in range(n)]
+    state = init_vrgt(oracle, x0, sch, rng, p=0.5, counting_mode=mode)
+    snaps0 = [snapshot_of(state.snapshots, i, spec) for i in range(n)]
     vrgt_step(state, w, sch)
 
     # Replay the same round by hand with the naive per-agent estimators.
@@ -175,10 +176,21 @@ def test_vrgt_round_matches_per_agent_estimators():
     g = np.empty((n, d))
     for i in range(n):
         snap = SnapshotState.capture(oracle2, i, x1[i], u1) if fired[i] else snaps0[i]
-        g[i] = vr_ge(oracle2, i, x1[i], u1, snap, int(l[i]))
+        g[i] = vr_ge(oracle2, i, x1[i], u1, snap, int(l[i]), mode)
     np.testing.assert_array_equal(state.g_prev, g)
     np.testing.assert_array_equal(state.x, x1)
     np.testing.assert_array_equal(state.s, w.w @ g)  # s0 = g0 = 0
+
+
+@pytest.mark.parametrize("alg", ["gt2d", "vrgt"])
+def test_queries_stop_met_by_initialization_raises(alg):
+    # Both seed with one 2d sweep per agent: 4 agents * 2 * 5 = 40 queries.
+    topo, spec = build_topology("ring", 4), make_benchmark(4, 5, seed=1)
+    sch = Schedule(step_size=0.05)
+    for limit in (1, 40):
+        with pytest.raises(ValueError, match=f"costs 40 queries.* stop limit of {limit}$"):
+            run(alg, topo, spec, sch, StopRule("queries", limit), seed=0)
+    assert run(alg, topo, spec, sch, StopRule("queries", 41), seed=0)[0].m > 40
 
 
 def test_vrgt_p1_equals_fresh_sweep_tracking():

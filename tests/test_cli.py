@@ -10,7 +10,8 @@ import pytest
 
 import dzo
 from dzo.cli import main
-from dzo.harness import ExperimentConfig, config_from_text, config_to_text, read_csv
+from dzo.harness import ExperimentConfig, config_from_text, config_to_text
+from reference import read_csv
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -87,6 +88,13 @@ def test_run_subcommand_rejects_misspelled_key(tmp_path, capsys):
     assert main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 2
     assert "unknown key 'counting_mod'" in capsys.readouterr().err
     assert not (tmp_path / "typo.csv").exists()
+
+
+def test_compare_rejects_a_budget_spent_by_initialization(tmp_path, capsys):
+    # fig1's vrgt and gt2d spend 2d = 128 queries per agent before round 1.
+    assert main(["compare", "--suite", "fig1", "--budget", "1", "--out", str(tmp_path)]) == 2
+    assert "vrgt initialization costs 6400 queries" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_compare_subcommand(tmp_path, capsys):

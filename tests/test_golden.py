@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dzo.harness import ExperimentConfig, read_csv, rows_to_csv, run_config
+from dzo.harness import ExperimentConfig, rows_to_csv, run_config
+from reference import read_csv
 
 DATA = Path(__file__).parent / "data"
 RTOL = 1e-6

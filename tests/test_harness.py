@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from dzo.algorithms import RunState
+from dzo.cli import main
 from dzo.harness import (
     CSV_HEADER,
     ExperimentConfig,
     config_from_text,
     config_to_text,
-    fit_decay_rate,
     load_config,
-    read_csv,
     rows_to_csv,
     run_comparison,
     run_config,
@@ -21,6 +20,7 @@ from dzo.harness import (
 )
 from dzo.metrics import MetricsRow, compute_metrics
 from dzo.oracle import ZerothOrderOracle, make_benchmark, make_quadratic
+from reference import fit_decay_rate, read_csv
 
 
 def tiny_config(**overrides):
@@ -138,6 +138,26 @@ def test_config_rejects_unknown_keys():
         misspelled = text.replace(f"\n{right} = ", f"\n{wrong} = ")
         with pytest.raises(ValueError, match=f"malformed experiment config: unknown key '{wrong}'"):
             config_from_text(misspelled)
+
+
+@pytest.mark.parametrize("algorithm, lines, error", [
+    ("dgd2p", "p = -3\ncounting_mode = bogus\n", "refresh probability"),
+    ("dgd2p", "counting_mode = bogus\n", "counting_mode must be one of"),
+    ("vrgt", "counting_mode = cahced\n", "counting_mode must be one of"),
+], ids=["dgd2p_bad_p", "dgd2p_bad_mode", "vrgt_misspelled_mode"])
+def test_config_rejects_bad_p_and_mode_for_every_algorithm(tmp_path, capsys, algorithm,
+                                                           lines, error):
+    # A value the sidecar would drop (dgd2p) or that fails only once run
+    # (vrgt) is rejected when the config loads.
+    text = config_to_text(tiny_config(algorithm=algorithm, out="bad.csv"))
+    text = without_keys(text, "p", "counting_mode").replace("[schedule]", lines + "\n[schedule]")
+    with pytest.raises(ValueError, match=f"malformed experiment config: {error}"):
+        config_from_text(text)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_config_with_percent_round_trips(tmp_path):

@@ -12,7 +12,6 @@ from dzo.network import (
     build_topology,
     metropolis_weights,
     mix,
-    spectral_gap,
 )
 from dzo.oracle import make_benchmark
 
@@ -88,39 +87,30 @@ def test_metropolis_complete3_is_projector():
     assert w.sigma == pytest.approx(0.0, abs=1e-12)
 
 
-def test_spectral_gap_known_values():
-    assert spectral_gap(np.full((3, 3), 1 / 3)) == pytest.approx(0.0, abs=1e-12)
-    assert spectral_gap(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_gap(PATH3_W) == pytest.approx(2 / 3, abs=1e-10)
+def test_sigma_known_values():
+    assert MixingMatrix(np.full((3, 3), 1 / 3)).sigma == pytest.approx(0.0, abs=1e-12)
+    assert MixingMatrix(np.eye(2)).sigma == pytest.approx(1.0, abs=1e-12)
+    assert MixingMatrix(PATH3_W).sigma == pytest.approx(2 / 3, abs=1e-10)
     with pytest.raises(ValueError):
-        spectral_gap(np.ones((2, 3)))
+        MixingMatrix(np.ones((2, 3)))
 
 
-def test_spectral_gap_deterministic():
-    rng = np.random.default_rng(0)
-    t = build_topology("erdos_renyi", 30, seed=1, prob=0.2)
-    w = metropolis_weights(t).w
-    vals = {spectral_gap(w) for _ in range(5)}
+def test_sigma_deterministic():
+    w = metropolis_weights(build_topology("erdos_renyi", 30, seed=1, prob=0.2)).w
+    vals = {MixingMatrix(w).sigma for _ in range(5)}
     assert len(vals) == 1
 
 
-def test_sigma_is_computed_once_on_first_read(monkeypatch):
-    calls = []
-
-    def counted(w):
-        calls.append(1)
-        return spectral_gap(w)
-
-    monkeypatch.setattr(network, "spectral_gap", counted)
+def test_sigma_is_computed_once_on_first_read():
     t = build_topology("ring", 6)
     for alg in ALGORITHMS:
         run(alg, t, make_benchmark(6, 3, seed=0), Schedule(step_size=0.05),
             StopRule("rounds", 3), seed=0)
     w = metropolis_weights(t)
-    assert calls == []
-    first, second = w.sigma, w.sigma
-    assert len(calls) == 1
-    assert first == second == spectral_gap(w.w)
+    assert "sigma" not in vars(w)
+    first = w.sigma
+    assert vars(w)["sigma"] == first
+    assert first == w.sigma == MixingMatrix(w.w).sigma
 
 
 def test_mix_projector_and_identity():

@@ -6,14 +6,13 @@ import pytest
 from dzo.oracle import (
     ObjectiveSpec,
     ZerothOrderOracle,
-    analytic_grad,
     estimate_smoothness,
     global_grad,
     make_benchmark,
     make_linear,
     make_quadratic,
-    objective_value,
 )
+from reference import analytic_grad, objective_value
 
 
 def central_difference(spec, agent, x, h=1e-5):
