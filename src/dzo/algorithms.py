@@ -26,12 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import SnapshotBlock, check_mode, sphere, sweep, two_point, vr_estimate
+from .estimators import SnapshotBlock, check_policy, sphere, sweep, two_point, vr_estimate
 from .metrics import MetricsRow, compute_metrics
 from .network import MixingMatrix, Topology, metropolis_weights
 from .oracle import ObjectiveSpec, ZerothOrderOracle
 
 ALGORITHMS = ("dgd2p", "gt2d", "vrgt")
+STOP_KINDS = ("rounds", "queries")
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,14 @@ class Schedule:
     u_decay: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.step_size < 0.0:
-            raise ValueError("step_size must be nonnegative")
-        if self.step_decay < 0.0:
-            raise ValueError("step_decay must be nonnegative")
-        if self.u0 <= 0.0:
-            raise ValueError("u0 must be positive")
+        if not 0.0 <= self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and nonnegative, got {self.step_size}")
+        if not 0.0 <= self.step_decay < np.inf:
+            raise ValueError(f"step_decay must be finite and nonnegative, got {self.step_decay}")
+        if not 0.0 < self.u0 < np.inf:
+            raise ValueError(f"u0 must be finite and positive, got {self.u0}")
         if not 0.0 < self.u_decay <= 1.0:
-            raise ValueError("u_decay must lie in (0, 1]")
+            raise ValueError(f"u_decay must lie in (0, 1], got {self.u_decay}")
         if self.u_decay <= 0.5:
             warnings.warn("u_decay <= 1/2: squared smoothing radii are not summable",
                           stacklevel=2)
@@ -80,8 +81,8 @@ class StopRule:
     limit: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rounds", "queries"):
-            raise ValueError(f"stop kind must be 'rounds' or 'queries', got {self.kind!r}")
+        if self.kind not in STOP_KINDS:
+            raise ValueError(f"stop kind must be one of {STOP_KINDS}, got {self.kind!r}")
         if self.limit < 1:
             raise ValueError("stop limit must be at least 1")
 
@@ -90,7 +91,7 @@ class StopRule:
 class RunState:
     """Mutable state of one run.  A run owns its oracle, its rng stream and,
     for vrgt, its refresh probability and counting mode: every step reads
-    them from here, and init_vrgt validates the policy before any query."""
+    them from here, and init_vrgt runs check_policy before any query."""
 
     k: int
     x: np.ndarray                      # (N, d) iterates
@@ -119,12 +120,10 @@ def init_gt2d(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
 def init_vrgt(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
               rng: np.random.Generator, p: float,
               counting_mode: str = "paper_faithful") -> RunState:
-    """Check the refresh policy, then start the snapshots at the initial
-    iterate (one 2d sweep per agent); trackers and previous estimates start
-    at zero."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
-    check_mode(counting_mode)
+    """Check the refresh policy with check_policy, then start the snapshots
+    at the initial iterate (one 2d sweep per agent); trackers and previous
+    estimates start at zero."""
+    check_policy(p, counting_mode)
     snapshots = SnapshotBlock(oracle, x0, schedule.smoothing_at(0))
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng,
                     s=np.zeros_like(x0), g_prev=np.zeros_like(x0), snapshots=snapshots,

@@ -24,7 +24,10 @@ from .oracle import ZerothOrderOracle
 COUNTING_MODES = ("paper_faithful", "cached")
 
 
-def check_mode(counting_mode: str) -> None:
+def check_policy(p: float, counting_mode: str) -> None:
+    """Reject a vrgt refresh policy: p outside [0, 1] or an unknown counting mode."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"refresh probability must lie in [0, 1], got {p}")
     if counting_mode not in COUNTING_MODES:
         raise ValueError(f"counting_mode must be one of {COUNTING_MODES}, got {counting_mode!r}")
 

@@ -9,6 +9,10 @@ Config files are INI text with typed sections (documented in the README):
     [stop]      kind (rounds | queries), limit
     [run]       seed, x0_scale, x0_mode (shared | heterogeneous), out
 
+``ExperimentConfig`` checks every value when it is built, so a bad file
+fails at load: each through its consumer's check (``check_topology``,
+``FAMILIES``, ``check_policy``, ``Schedule``, ...) where there is one.
+
 The CSV contract: header ``k,m,stat_gap,consensus_err,tracking_err``, 17
 significant digits, LF line endings, empty tracking field when the
 algorithm has no tracker.  ``m`` counts fresh oracle queries summed over
@@ -32,21 +36,21 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, Schedule, StopRule, run
-from .estimators import check_mode
+from .estimators import check_policy
 from .metrics import MetricsRow
-from .network import Topology, TopologyKind, build_topology
-from .oracle import ObjectiveSpec, make_benchmark, make_linear, make_quadratic
+from .network import Topology, build_topology, check_topology
+from .oracle import FAMILIES, ObjectiveSpec
 
 SUITES = ("fig1", "fig2", "fig3")
 CSV_HEADER = "k,m,stat_gap,consensus_err,tracking_err"
+X0_MODES = ("shared", "heterogeneous")
 
 _SUITE_AGENTS = 50
-_SUITE_DIM = 64
-_SUITE_TOPOLOGY = ("erdos_renyi", 0.2)
 
 
 @dataclass(frozen=True)
@@ -75,32 +79,33 @@ class ExperimentConfig:
     out: str = "run.csv"
 
     def __post_init__(self) -> None:
-        if self.topology_kind not in TopologyKind:
-            raise ValueError(f"unknown topology kind {self.topology_kind!r}")
-        if self.objective_kind not in ("benchmark", "quadratic", "linear"):
+        check_topology(self.topology_kind, self.topology_n, self.topology_prob)
+        if self.objective_kind not in FAMILIES:
             raise ValueError(f"unknown objective kind {self.objective_kind!r}")
+        if self.objective_dim < 1:
+            raise ValueError(f"objective dim must be at least 1, got {self.objective_dim}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.x0_mode not in ("shared", "heterogeneous"):
-            raise ValueError(f"x0_mode must be shared or heterogeneous, got {self.x0_mode!r}")
         # Checked for every algorithm, though only vrgt reads them, so no
         # config carries a value its sidecar would drop.
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"refresh probability must lie in [0, 1], got {self.p}")
-        check_mode(self.counting_mode)
+        check_policy(self.p, self.counting_mode)
+        self.build_schedule()  # Schedule validates
         StopRule(self.stop_kind, self.stop_limit)  # validates
+        for name in ("topology_seed", "objective_seed", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not math.isfinite(self.x0_scale):
+            raise ValueError(f"x0_scale must be finite, got {self.x0_scale}")
+        if self.x0_mode not in X0_MODES:
+            raise ValueError(f"x0_mode must be one of {X0_MODES}, got {self.x0_mode!r}")
 
     def build_topology(self) -> Topology:
         return build_topology(self.topology_kind, self.topology_n,
                               seed=self.topology_seed, prob=self.topology_prob)
 
     def build_objective(self) -> ObjectiveSpec:
-        n, d, s = self.topology_n, self.objective_dim, self.objective_seed
-        if self.objective_kind == "benchmark":
-            return make_benchmark(n, d, seed=s)
-        if self.objective_kind == "quadratic":
-            return make_quadratic(n, d, seed=s)
-        return make_linear(n, d, seed=s)
+        return FAMILIES[self.objective_kind](self.topology_n, self.objective_dim,
+                                             seed=self.objective_seed)
 
     def build_schedule(self) -> Schedule:
         return Schedule(step_size=self.step_size, step_decay=self.step_decay,
@@ -227,16 +232,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     return path
 
 
-def _suite_base(seed: int, dim: int = _SUITE_DIM) -> ExperimentConfig:
-    kind, prob = _SUITE_TOPOLOGY
-    return ExperimentConfig(
-        topology_kind=kind, topology_n=_SUITE_AGENTS, topology_seed=seed, topology_prob=prob,
-        objective_kind="benchmark", objective_dim=dim, objective_seed=seed,
-        algorithm="vrgt", step_size=0.02, u0=3.0, u_decay=0.75,
-        stop_kind="queries", stop_limit=1, seed=seed, x0_scale=0.25,
-    )
-
-
 def suite_configs(suite: str, seed: int, budget: int) -> list[ExperimentConfig]:
     """Configs for one comparison suite.
 
@@ -248,28 +243,19 @@ def suite_configs(suite: str, seed: int, budget: int) -> list[ExperimentConfig]:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
     if budget < 1:
         raise ValueError("budget must be positive")
+    base = ExperimentConfig(
+        topology_kind="erdos_renyi", topology_n=_SUITE_AGENTS, topology_seed=seed,
+        topology_prob=0.2, objective_kind="benchmark", objective_dim=64, objective_seed=seed,
+        algorithm="vrgt", step_size=0.02, stop_kind="queries",
+        stop_limit=budget * _SUITE_AGENTS, seed=seed, x0_scale=0.25,
+    )
     if suite == "fig1":
-        base = _suite_base(seed)
-        total = budget * base.topology_n
-        return [
-            replace(base, algorithm="vrgt", p=0.1, stop_limit=total, out="fig1_vrgt.csv"),
-            replace(base, algorithm="dgd2p", stop_limit=total, out="fig1_dgd2p.csv"),
-            replace(base, algorithm="gt2d", stop_limit=total, out="fig1_gt2d.csv"),
-        ]
+        return [replace(base, algorithm=name, out=f"fig1_{name}.csv")
+                for name in ("vrgt", "dgd2p", "gt2d")]
     if suite == "fig2":
-        base = _suite_base(seed)
-        total = budget * base.topology_n
-        return [
-            replace(base, p=p, stop_limit=total, out=f"fig2_vrgt_p{p:g}.csv")
-            for p in (0.2, 0.5, 0.8, 1.0)
-        ]
-    configs = []
-    for d in (30, 100, 200, 300):
-        base = _suite_base(seed, dim=d)
-        p = min(0.1, 8.0 / d)
-        configs.append(replace(base, p=p, stop_limit=budget * base.topology_n,
-                               out=f"fig3_vrgt_d{d}.csv"))
-    return configs
+        return [replace(base, p=p, out=f"fig2_vrgt_p{p:g}.csv") for p in (0.2, 0.5, 0.8, 1.0)]
+    return [replace(base, objective_dim=d, p=min(0.1, 8.0 / d), out=f"fig3_vrgt_d{d}.csv")
+            for d in (30, 100, 200, 300)]
 
 
 def run_comparison(suite: str, seed: int, budget: int,

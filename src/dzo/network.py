@@ -177,15 +177,25 @@ def _grid_edges(n: int) -> set[tuple[int, int]]:
     return edges
 
 
+def check_topology(kind: str, n: int, prob: float | None) -> None:
+    """Reject arguments build_topology cannot build from: n < 2, an unknown
+    kind, or erdos_renyi without prob in (0, 1]."""
+    if n < 2:
+        raise ValueError(f"build_topology needs n >= 2, got {n}")
+    if kind not in TopologyKind:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    if kind == "erdos_renyi" and (prob is None or not 0.0 < prob <= 1.0):
+        raise ValueError(f"erdos_renyi needs prob in (0, 1], got {prob}")
+
+
 def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) -> Topology:
     """Construct a connected topology of the requested kind.
 
-    kind is one of ring, path, complete, erdos_renyi, grid.  erdos_renyi
-    requires prob in (0, 1] and redraws with fresh derived seeds until the
-    sample is connected (at most 100 attempts, then raises).
+    kind is one of ring, path, complete, erdos_renyi, grid; check_topology
+    rejects anything else.  erdos_renyi redraws with fresh derived seeds
+    until the sample is connected (at most 100 attempts, then raises).
     """
-    if n < 2:
-        raise ValueError(f"build_topology needs n >= 2, got {n}")
+    check_topology(kind, n, prob)
     if kind == "ring":
         edges = _ring_edges(n)
     elif kind == "path":
@@ -194,9 +204,7 @@ def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) 
         edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
     elif kind == "grid":
         edges = _grid_edges(n)
-    elif kind == "erdos_renyi":
-        if prob is None or not 0.0 < prob <= 1.0:
-            raise ValueError(f"erdos_renyi needs prob in (0, 1], got {prob}")
+    else:
         for child in np.random.SeedSequence(seed).spawn(_ER_MAX_TRIES):
             mask = np.random.default_rng(child).random((n, n)) < prob
             edges = frozenset(map(tuple, np.argwhere(np.triu(mask, 1)).tolist()))
@@ -207,8 +215,6 @@ def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) 
         raise DisconnectedGraphError(
             f"no connected Erdos-Renyi sample in {_ER_MAX_TRIES} tries (n={n}, prob={prob})"
         )
-    else:
-        raise ValueError(f"unknown topology kind {kind!r}")
     return Topology(n_agents=n, edges=frozenset(edges))
 
 

@@ -1,6 +1,6 @@
 """Local objectives behind a counted function-value interface.
 
-Three objective families are provided:
+Three objective families, each mapped to its maker in ``FAMILIES``:
 
 * ``benchmark`` -- per-agent ``a * sigmoid(zeta . x + v) + b * ln(1 + |x|^2)``,
   a smooth nonconvex test problem with heterogeneous agents and mean(b) = 1.
@@ -127,6 +127,10 @@ def make_linear(n: int, d: int, coef: np.ndarray | None = None,
         rng = np.random.default_rng(0 if seed is None else seed)
         coef = rng.standard_normal((n, d))
     return ObjectiveSpec(kind="linear", n_agents=n, dim=d, coef=coef)
+
+
+# Each objective kind and its maker; every maker takes (n, d, seed=...).
+FAMILIES = {"benchmark": make_benchmark, "quadratic": make_quadratic, "linear": make_linear}
 
 
 def _values_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dzo.estimators import check_mode as _check_mode
 from dzo.oracle import ZerothOrderOracle
 
 
@@ -107,7 +106,8 @@ def vr_ge(oracle: ZerothOrderOracle, agent: int, x: np.ndarray, u: float,
     coordinate(x, u, l) - coordinate(x_tilde, u_tilde, l) + full(x_tilde).
     Averaged uniformly over l this equals the full sweep at (x, u).
     """
-    _check_mode(counting_mode)
+    if counting_mode not in ("paper_faithful", "cached"):
+        raise ValueError(f"counting_mode must be paper_faithful or cached, got {counting_mode!r}")
     if u <= 0.0:
         raise ValueError(f"smoothing radius must be positive, got {u}")
     # Schedules are non-increasing, so u <= u_tilde holds by construction;

@@ -9,8 +9,12 @@ from pathlib import Path
 import pytest
 
 import dzo
+from dzo.algorithms import ALGORITHMS, STOP_KINDS
 from dzo.cli import main
-from dzo.harness import ExperimentConfig, config_from_text, config_to_text
+from dzo.estimators import COUNTING_MODES
+from dzo.harness import X0_MODES, ExperimentConfig, config_from_text, config_to_text
+from dzo.network import TopologyKind
+from dzo.oracle import FAMILIES
 from reference import read_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -189,6 +193,31 @@ def test_readme_config_block():
         u0=3.0, u_decay=0.75, step_decay=0.0, stop_kind="queries", stop_limit=2_500_000,
         seed=0, x0_scale=1.0, x0_mode="shared", out="run.csv",
     )
+
+
+def test_readme_config_choices_match_their_owners():
+    # Each "a | b | c" comment in the README's config block lists the values
+    # its next key accepts; they must be the owners' lists, in order.
+    readme = (REPO / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    documented, section, choices = {}, None, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line.startswith(";"):
+            found = re.search(r"\w+(?: \| \w+)+", line)
+            choices = found.group(0).split(" | ") if found else None
+        elif "=" in line and choices:
+            documented[(section, line.split("=")[0].strip())] = choices
+            choices = None
+    assert documented == {
+        ("topology", "kind"): list(TopologyKind),
+        ("objective", "kind"): list(FAMILIES),
+        ("algorithm", "name"): list(ALGORITHMS),
+        ("algorithm", "counting_mode"): list(COUNTING_MODES),
+        ("stop", "kind"): list(STOP_KINDS),
+        ("run", "x0_mode"): list(X0_MODES),
+    }
 
 
 def test_stepsize_tables_script():

@@ -1,12 +1,20 @@
+import configparser
+import io
+import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dzo.algorithms import RunState
+from dzo.algorithms import ALGORITHMS, RunState
 from dzo.cli import main
 from dzo.harness import (
     CSV_HEADER,
+    X0_MODES,
     ExperimentConfig,
     config_from_text,
     config_to_text,
@@ -18,8 +26,10 @@ from dzo.harness import (
     suite_configs,
     write_csv,
 )
+from dzo.estimators import COUNTING_MODES
 from dzo.metrics import MetricsRow, compute_metrics
-from dzo.oracle import ZerothOrderOracle, make_benchmark, make_quadratic
+from dzo.network import DisconnectedGraphError, TopologyKind
+from dzo.oracle import FAMILIES, ZerothOrderOracle, make_benchmark, make_quadratic
 from reference import fit_decay_rate, read_csv
 
 
@@ -151,13 +161,107 @@ def test_config_rejects_bad_p_and_mode_for_every_algorithm(tmp_path, capsys, alg
     # (vrgt) is rejected when the config loads.
     text = config_to_text(tiny_config(algorithm=algorithm, out="bad.csv"))
     text = without_keys(text, "p", "counting_mode").replace("[schedule]", lines + "\n[schedule]")
-    with pytest.raises(ValueError, match=f"malformed experiment config: {error}"):
+    assert_rejected_at_load(text, error, tmp_path, capsys)
+
+
+def assert_rejected_at_load(text, error, tmp_path, capsys):
+    """The config text (out = bad.csv) fails to load with error, and `dzo run`
+    on it exits 2 with that error before writing a CSV."""
+    with pytest.raises(ValueError, match=re.escape(f"malformed experiment config: {error}")):
         config_from_text(text)
     ini = tmp_path / "exp.ini"
     ini.write_text(text)
     assert main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 2
     assert error in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+def with_values(text, values):
+    """The config text with each (section, key) set to its value."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    for (section, key), value in values.items():
+        parser[section][key] = value
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("values, error", [
+    ({("schedule", "u0"): "-1"}, "u0 must be finite and positive"),
+    ({("schedule", "u0"): "inf"}, "u0 must be finite and positive"),
+    ({("algorithm", "step_size"): "-1"}, "step_size must be finite and nonnegative"),
+    ({("algorithm", "step_size"): "nan"}, "step_size must be finite and nonnegative"),
+    ({("schedule", "u_decay"): "2"}, "u_decay must lie in (0, 1]"),
+    ({("schedule", "step_decay"): "-1"}, "step_decay must be finite and nonnegative"),
+    ({("topology", "n"): "1"}, "build_topology needs n >= 2"),
+    ({("topology", "kind"): "erdos_renyi"}, "erdos_renyi needs prob in (0, 1]"),
+    ({("objective", "dim"): "0"}, "objective dim must be at least 1"),
+    ({("run", "x0_scale"): "nan"}, "x0_scale must be finite"),
+    ({("run", "x0_scale"): "inf"}, "x0_scale must be finite"),
+    ({("run", "seed"): "-1"}, "seed must be nonnegative"),
+    ({("objective", "seed"): "-1"}, "objective_seed must be nonnegative"),
+    ({("topology", "seed"): "-1"}, "topology_seed must be nonnegative"),
+], ids=["u0_negative", "u0_inf", "step_size_negative", "step_size_nan", "u_decay_above_one",
+        "step_decay_negative", "one_agent", "erdos_renyi_without_prob", "dim_zero",
+        "x0_scale_nan", "x0_scale_inf", "seed_negative", "objective_seed_negative",
+        "topology_seed_negative_on_ring"])
+def test_config_rejects_out_of_range_values(tmp_path, capsys, values, error):
+    # Each value used to load and fail only once the run built the schedule,
+    # topology or objective, or (x0_scale, a ring's topology seed) not at all.
+    text = with_values(config_to_text(tiny_config(out="bad.csv")), values)
+    assert_rejected_at_load(text, error, tmp_path, capsys)
+
+
+# Per field: values inside its bounds, then values outside them (a ring or
+# grid ignores prob, so None, 0 and 1.5 are outside only for erdos_renyi).
+_FIELD_VALUES = {
+    "topology_kind": (TopologyKind, ("star",)),
+    "topology_n": ((2, 5), (1,)),
+    "topology_prob": ((0.5, 1.0), (None, 0.0, 1.5)),
+    "topology_seed": ((0, 7), (-1,)),
+    "objective_kind": (tuple(FAMILIES), ("cubic",)),
+    "objective_dim": ((1, 3), (0,)),
+    "objective_seed": ((0, 7), (-1,)),
+    "algorithm": (ALGORITHMS, ("adam",)),
+    "step_size": ((0.0, 0.05), (-1.0, math.nan, math.inf)),
+    "p": ((0.0, 0.5, 1.0), (-0.5, 1.5, math.nan)),
+    "counting_mode": (COUNTING_MODES, ("cahced",)),
+    "u0": ((0.5, 3.0), (-1.0, 0.0, math.nan, math.inf)),
+    "u_decay": ((0.75, 1.0, 0.5), (0.0, 2.0, math.nan)),
+    "step_decay": ((0.0, 0.5), (-1.0, math.nan)),
+    "stop_limit": ((1, 3), (0,)),
+    "seed": ((0, 7), (-1,)),
+    "x0_scale": ((-1.0, 0.0, 0.5), (math.nan, math.inf)),
+    "x0_mode": (X0_MODES, ("spread",)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_config_that_loads_runs(data):
+    # Most fields stay inside their bounds and up to three straddle them, so
+    # many drawn configs construct.  Every one that does must run to finite
+    # rows; only a graph sample can show that an Erdos-Renyi draw is
+    # disconnected.
+    straddling = data.draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3))
+    fields = {name: data.draw(st.sampled_from(inside + outside if name in straddling else inside),
+                              label=name)
+              for name, (inside, outside) in _FIELD_VALUES.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # u_decay <= 1/2 warns, and loads
+        try:
+            cfg = ExperimentConfig(stop_kind="rounds", **fields)
+        except ValueError:
+            assert straddling, "a config inside every bound was rejected"
+            return
+        try:
+            rows = run_config(cfg)
+        except DisconnectedGraphError:
+            return
+    assert len(rows) == cfg.stop_limit
+    assert all(math.isfinite(v) for r in rows
+               for v in (r.stat_gap, r.consensus_err, r.tracking_err or 0.0))
 
 
 def test_config_with_percent_round_trips(tmp_path):
@@ -247,17 +351,21 @@ def test_fit_decay_rate_exact_inverse_series():
 
 def test_suite_configs():
     fig1 = suite_configs("fig1", seed=5, budget=1000)
-    assert [c.algorithm for c in fig1] == ["vrgt", "dgd2p", "gt2d"]
-    assert len({c.stop_limit for c in fig1}) == 1
-    assert fig1[0].stop_limit == 1000 * fig1[0].topology_n
-    assert len({c.objective_seed for c in fig1}) == 1
-
-    fig2 = suite_configs("fig2", seed=5, budget=1000)
-    assert [c.p for c in fig2] == [0.2, 0.5, 0.8, 1.0]
-
-    fig3 = suite_configs("fig3", seed=5, budget=1000)
-    assert [c.objective_dim for c in fig3] == [30, 100, 200, 300]
-    assert [c.p for c in fig3] == [pytest.approx(min(0.1, 8 / d)) for d in (30, 100, 200, 300)]
+    base = ExperimentConfig(
+        topology_kind="erdos_renyi", topology_n=50, topology_seed=5, topology_prob=0.2,
+        objective_kind="benchmark", objective_dim=64, objective_seed=5,
+        algorithm="vrgt", step_size=0.02, p=0.1, counting_mode="paper_faithful",
+        u0=3.0, u_decay=0.75, step_decay=0.0, stop_kind="queries", stop_limit=1000 * 50,
+        seed=5, x0_scale=0.25, x0_mode="shared", out="fig1_vrgt.csv",
+    )
+    assert fig1 == [base,
+                    replace(base, algorithm="dgd2p", out="fig1_dgd2p.csv"),
+                    replace(base, algorithm="gt2d", out="fig1_gt2d.csv")]
+    assert suite_configs("fig2", seed=5, budget=1000) == [
+        replace(base, p=p, out=f"fig2_vrgt_p{p:g}.csv") for p in (0.2, 0.5, 0.8, 1.0)]
+    assert suite_configs("fig3", seed=5, budget=1000) == [
+        replace(base, objective_dim=d, p=p, out=f"fig3_vrgt_d{d}.csv")
+        for d, p in ((30, 0.1), (100, 0.08), (200, 0.04), (300, 8 / 300))]
 
     with pytest.raises(ValueError):
         suite_configs("fig9", seed=0, budget=10)
