@@ -62,8 +62,9 @@ class Schedule:
         if not 0.0 < self.u_decay <= 1.0:
             raise ValueError(f"u_decay must lie in (0, 1], got {self.u_decay}")
         if self.u_decay <= 0.5:
+            # Level 3 skips this method and the generated __init__.
             warnings.warn("u_decay <= 1/2: squared smoothing radii are not summable",
-                          stacklevel=2)
+                          stacklevel=3)
 
     def step_size_at(self, k: int) -> float:
         return self.step_size / max(k, 1) ** self.step_decay

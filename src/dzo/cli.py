@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import harness, theory
-from .algorithms import Schedule, StopRule, run
+from .algorithms import Schedule, init_vrgt, vrgt_step
 from .estimators import SnapshotBlock, sweep, vr_estimate
 from .network import build_topology, metropolis_weights, mix
 from .oracle import ZerothOrderOracle, make_benchmark
@@ -109,24 +109,30 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     check("variance-reduced estimate averages to the full sweep",
           bool(np.linalg.norm(avg - full) <= 1e-10 * max(1.0, np.linalg.norm(full))))
 
-    # Tracking identity over a short tracked run.
-    rows = run("vrgt", build_topology("ring", 6), make_benchmark(6, 8, seed=1),
-               Schedule(step_size=0.05), StopRule("rounds", 30), seed=5, p=0.3)
-    check("tracked run produces finite metrics", all(np.isfinite(r.stat_gap) for r in rows))
+    # Tracking identity mean(s) == mean(g), to rounding, over 30 vrgt rounds.
+    sched, w = Schedule(step_size=0.05), metropolis_weights(build_topology("ring", 6))
+    state = init_vrgt(ZerothOrderOracle(make_benchmark(6, 8, seed=1)),
+                      np.tile(rng.standard_normal(8), (6, 1)), sched, rng, p=0.3)
+    drift = 0.0
+    for _ in range(30):
+        vrgt_step(state, w, sched)
+        drift = max(drift, float(np.abs(state.s.mean(axis=0) - state.g_prev.mean(axis=0)).max()))
+    check("tracking identity mean(s) == mean(g)", drift <= 1e-12)
 
     # Contraction certificates across a small grid.
     ok = all(theory.certify_contraction(s, d, theory.contraction_step_limit(s, d)).satisfied
              for s in (0.1, 0.5, 0.9) for d in (3, 16, 64))
     check("contraction certificate at the guaranteed step level", ok)
 
-    # Determinism of a tiny run.
+    # Determinism of a tiny run, replayed from its sidecar text.
     cfg = harness.ExperimentConfig(
         topology_kind="ring", topology_n=4, topology_seed=0,
         objective_kind="benchmark", objective_dim=5, objective_seed=2,
         algorithm="vrgt", step_size=0.05, stop_kind="rounds", stop_limit=20, seed=9)
-    check("byte-identical replay",
+    replay = harness.config_from_text(harness.config_to_text(cfg))
+    check("byte-identical replay from the config text",
           harness.rows_to_csv(harness.run_config(cfg))
-          == harness.rows_to_csv(harness.run_config(cfg)))
+          == harness.rows_to_csv(harness.run_config(replay)))
 
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failure(s)")
     return 1 if failures else 0

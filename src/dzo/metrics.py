@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .oracle import global_grad
-
 if TYPE_CHECKING:
     from .algorithms import RunState
 
@@ -40,7 +38,7 @@ def compute_metrics(state: "RunState") -> MetricsRow:
     grad f(xbar), for the objective of the state's oracle."""
     n = state.x.shape[0]
     xbar = state.x.mean(axis=0)
-    grad = global_grad(state.oracle.spec, xbar)
+    grad = state.oracle.spec.global_grad(xbar)
     stat_gap = float(grad @ grad)
     dx = (state.x - xbar).ravel()
     consensus = float(dx @ dx) / n

@@ -179,13 +179,15 @@ def _grid_edges(n: int) -> set[tuple[int, int]]:
 
 def check_topology(kind: str, n: int, prob: float | None) -> None:
     """Reject arguments build_topology cannot build from: n < 2, an unknown
-    kind, or erdos_renyi without prob in (0, 1]."""
+    kind, erdos_renyi without prob in (0, 1], or a prob for any other kind."""
     if n < 2:
         raise ValueError(f"build_topology needs n >= 2, got {n}")
     if kind not in TopologyKind:
         raise ValueError(f"unknown topology kind {kind!r}")
     if kind == "erdos_renyi" and (prob is None or not 0.0 < prob <= 1.0):
         raise ValueError(f"erdos_renyi needs prob in (0, 1], got {prob}")
+    if kind != "erdos_renyi" and prob is not None:
+        raise ValueError(f"only erdos_renyi takes a prob, got {prob} for {kind}")
 
 
 def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) -> Topology:

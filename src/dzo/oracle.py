@@ -1,21 +1,27 @@
 """Local objectives behind a counted function-value interface.
 
-Three objective families, each mapped to its maker in ``FAMILIES``:
+Three objective families, each an :class:`ObjectiveSpec` subclass that
+holds only its own arrays, with its maker in ``FAMILIES`` under its ``kind``:
 
-* ``benchmark`` -- per-agent ``a * sigmoid(zeta . x + v) + b * ln(1 + |x|^2)``,
+* ``Benchmark`` -- per-agent ``a * sigmoid(zeta . x + v) + b * ln(1 + |x|^2)``,
   a smooth nonconvex test problem with heterogeneous agents and mean(b) = 1.
-* ``quadratic`` -- ``0.5 (x - shift)^T Q (x - shift)`` with PSD ``Q``.
-* ``linear`` -- ``c . x`` (unbounded below; only useful for estimator tests).
+* ``Quadratic`` -- ``0.5 (x - shift)^T Q (x - shift)`` with PSD ``Q``.
+* ``Linear`` -- ``c . x`` (unbounded below; only useful for estimator tests).
 
-Algorithms may touch objectives only through :class:`ZerothOrderOracle`,
-which counts every function-value query per agent.  The network gradient
-the metrics read and the smoothness estimate are uncounted free functions.
+Each evaluates uncounted through ``values(agents, points)``, the (B, m)
+values of points[b, m, :] under agent agents[b]; ``grads(agents, points)``,
+their (B, m, d) analytic gradients; and ``global_grad(x)``, the gradient
+of f = (1/N) sum_i f_i in closed form (the mean of the per-agent gradients
+up to summation order), which the metrics read.  Algorithms may touch
+objectives only through :class:`ZerothOrderOracle`, which counts every
+function-value query per agent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,32 +36,19 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Immutable per-agent objective parameters.
+    """Immutable per-agent objective parameters; a family subclass adds its arrays."""
 
-    Exactly the fields for `kind` must be set; everything else stays None.
-    """
-
-    kind: str
     n_agents: int
     dim: int
-    # benchmark
-    alpha: np.ndarray | None = None   # (N,)
-    beta: np.ndarray | None = None    # (N,)
-    v: np.ndarray | None = None       # (N,)
-    zeta: np.ndarray | None = None    # (N, d)
-    # quadratic
-    quad: np.ndarray | None = None    # (N, d, d), symmetric PSD
-    shift: np.ndarray | None = None   # (N, d)
-    # linear
-    coef: np.ndarray | None = None    # (N, d)
 
     def __post_init__(self) -> None:
         n, d = self.n_agents, self.dim
         if n < 1 or d < 1:
             raise ValueError(f"need n_agents >= 1 and dim >= 1, got ({n}, {d})")
 
-        def _freeze(name: str, arr, shape) -> None:
-            a = np.array(arr, dtype=float)
+    def _freeze(self, **shapes: tuple[int, ...]) -> None:
+        for name, shape in shapes.items():
+            a = np.array(getattr(self, name), dtype=float)
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
             if not np.all(np.isfinite(a)):
@@ -63,36 +56,107 @@ class ObjectiveSpec:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-        if self.kind == "benchmark":
-            _freeze("alpha", self.alpha, (n,))
-            _freeze("beta", self.beta, (n,))
-            _freeze("v", self.v, (n,))
-            _freeze("zeta", self.zeta, (n, d))
-            if abs(float(np.mean(self.beta)) - 1.0) > _BETA_TOL:
-                raise ValueError("benchmark requires mean(beta) == 1 to 1e-12")
-        elif self.kind == "quadratic":
-            _freeze("quad", self.quad, (n, d, d))
-            _freeze("shift", self.shift, (n, d))
-            q = self.quad
-            asym = np.max(np.abs(q - q.transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
-            bad = np.flatnonzero(asym | (np.linalg.eigvalsh(q)[:, 0] < -1e-10))
-            if bad.size:
-                i = bad[0]
-                raise ValueError(f"quad[{i}] is not {'symmetric' if asym[i] else 'PSD'}")
-        elif self.kind == "linear":
-            _freeze("coef", self.coef, (n, d))
-        else:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
+
+@dataclass(frozen=True)
+class Benchmark(ObjectiveSpec):
+    kind: ClassVar[str] = "benchmark"
+    alpha: np.ndarray   # (N,)
+    beta: np.ndarray    # (N,)
+    v: np.ndarray       # (N,)
+    zeta: np.ndarray    # (N, d)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        n, d = self.n_agents, self.dim
+        self._freeze(alpha=(n,), beta=(n,), v=(n,), zeta=(n, d))
+        if abs(float(np.mean(self.beta)) - 1.0) > _BETA_TOL:
+            raise ValueError("benchmark requires mean(beta) == 1 to 1e-12")
+
+    def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        z = self.zeta[agents]                       # (B, d)
+        t = np.einsum("bmd,bd->bm", points, z) + self.v[agents][:, None]
+        sq = np.einsum("bmd,bmd->bm", points, points)
+        return self.alpha[agents][:, None] * _sigmoid(t) \
+            + self.beta[agents][:, None] * np.log1p(sq)
+
+    def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        z = self.zeta[agents]
+        t = np.einsum("bmd,bd->bm", points, z) + self.v[agents][:, None]
+        sig = _sigmoid(t)
+        sq = np.einsum("bmd,bmd->bm", points, points)
+        part1 = (self.alpha[agents][:, None] * sig * (1.0 - sig))[:, :, None] * z[:, None, :]
+        part2 = (self.beta[agents][:, None] * 2.0 / (1.0 + sq))[:, :, None] * points
+        return part1 + part2
+
+    def global_grad(self, x: np.ndarray) -> np.ndarray:
+        sig = _sigmoid(self.zeta @ x + self.v)
+        return ((self.alpha * sig * (1.0 - sig)) @ self.zeta
+                + (2.0 * self.beta.sum() / (1.0 + x @ x)) * x) / self.n_agents
+
+
+@dataclass(frozen=True)
+class Quadratic(ObjectiveSpec):
+    kind: ClassVar[str] = "quadratic"
+    quad: np.ndarray    # (N, d, d), symmetric PSD
+    shift: np.ndarray   # (N, d)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        n, d = self.n_agents, self.dim
+        self._freeze(quad=(n, d, d), shift=(n, d))
+        q = self.quad
+        asym = np.max(np.abs(q - q.transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
+        bad = np.flatnonzero(asym | (np.linalg.eigvalsh(q)[:, 0] < -1e-10))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"quad[{i}] is not {'symmetric' if asym[i] else 'PSD'}")
 
     @cached_property
-    def _quad_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """mean_i(Q_i) and mean_i(Q_i shift_i) of a quadratic spec, computed
-        on first read, so the network gradient at x is the first times x
-        minus the second."""
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """mean_i(Q_i) and mean_i(Q_i shift_i), computed on first read, so
+        the network gradient at x is the first times x minus the second."""
         return self.quad.mean(axis=0), np.einsum("nij,nj->i", self.quad, self.shift) / self.n_agents
 
+    def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        n = self.n_agents
+        if agents.shape[0] == n and np.array_equal(agents, np.arange(n)):
+            quad, shift = self.quad, self.shift     # every agent in order: no gather
+        else:
+            quad, shift = self.quad[agents], self.shift[agents]
+        diff = points - shift[:, None, :]
+        # d^T Q d read as (d^T Q) . d, so matmul takes Q as stored, contiguous.
+        return 0.5 * np.einsum("bmi,bmi->bm", diff, np.matmul(diff, quad))
 
-def make_benchmark(n: int, d: int, seed: int = 0) -> ObjectiveSpec:
+    def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        # The gradient is Q . diff itself, so it keeps that reading; no run calls it.
+        diff = points - self.shift[agents][:, None, :]
+        return np.matmul(diff, self.quad[agents].transpose(0, 2, 1))
+
+    def global_grad(self, x: np.ndarray) -> np.ndarray:
+        qbar, qshift = self._moments
+        return qbar @ x - qshift
+
+
+@dataclass(frozen=True)
+class Linear(ObjectiveSpec):
+    kind: ClassVar[str] = "linear"
+    coef: np.ndarray    # (N, d)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._freeze(coef=(self.n_agents, self.dim))
+
+    def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return np.einsum("bmd,bd->bm", points, self.coef[agents])
+
+    def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.coef[agents][:, None, :], points.shape).copy()
+
+    def global_grad(self, x: np.ndarray) -> np.ndarray:
+        return self.coef.mean(axis=0)
+
+
+def make_benchmark(n: int, d: int, seed: int = 0) -> Benchmark:
     """Draw a benchmark instance: alpha, v ~ U[-1, 1], beta positive and
     normalized to mean 1, zeta rows ~ N(0, 1/d).  Deterministic given seed."""
     rng = np.random.default_rng(seed)
@@ -101,12 +165,11 @@ def make_benchmark(n: int, d: int, seed: int = 0) -> ObjectiveSpec:
     beta = rng.uniform(0.5, 1.5, n)
     beta = beta / beta.mean()
     zeta = rng.standard_normal((n, d)) / np.sqrt(d)
-    return ObjectiveSpec(kind="benchmark", n_agents=n, dim=d,
-                         alpha=alpha, beta=beta, v=v, zeta=zeta)
+    return Benchmark(n_agents=n, dim=d, alpha=alpha, beta=beta, v=v, zeta=zeta)
 
 
 def make_quadratic(n: int, d: int, quad: np.ndarray | None = None,
-                   shift: np.ndarray | None = None, seed: int | None = None) -> ObjectiveSpec:
+                   shift: np.ndarray | None = None, seed: int | None = None) -> Quadratic:
     """Quadratic instance; identity curvature and zero shift by default,
     or random SPD matrices when a seed is given."""
     if quad is None:
@@ -118,80 +181,19 @@ def make_quadratic(n: int, d: int, quad: np.ndarray | None = None,
             quad = a @ a.transpose(0, 2, 1) / d + 0.5 * np.eye(d)
     if shift is None:
         shift = np.zeros((n, d))
-    return ObjectiveSpec(kind="quadratic", n_agents=n, dim=d, quad=quad, shift=shift)
+    return Quadratic(n_agents=n, dim=d, quad=quad, shift=shift)
 
 
 def make_linear(n: int, d: int, coef: np.ndarray | None = None,
-                seed: int | None = None) -> ObjectiveSpec:
+                seed: int | None = None) -> Linear:
     if coef is None:
         rng = np.random.default_rng(0 if seed is None else seed)
         coef = rng.standard_normal((n, d))
-    return ObjectiveSpec(kind="linear", n_agents=n, dim=d, coef=coef)
+    return Linear(n_agents=n, dim=d, coef=coef)
 
 
 # Each objective kind and its maker; every maker takes (n, d, seed=...).
 FAMILIES = {"benchmark": make_benchmark, "quadratic": make_quadratic, "linear": make_linear}
-
-
-def _values_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Objective values for points[b, m, :] under agent agents[b]; (B, m)."""
-    if spec.kind == "benchmark":
-        z = spec.zeta[agents]                       # (B, d)
-        t = np.einsum("bmd,bd->bm", points, z) + spec.v[agents][:, None]
-        sq = np.einsum("bmd,bmd->bm", points, points)
-        return spec.alpha[agents][:, None] * _sigmoid(t) \
-            + spec.beta[agents][:, None] * np.log1p(sq)
-    if spec.kind == "quadratic":
-        n = spec.n_agents
-        if agents.shape[0] == n and np.array_equal(agents, np.arange(n)):
-            quad, shift = spec.quad, spec.shift     # every agent in order: no gather
-        else:
-            quad, shift = spec.quad[agents], spec.shift[agents]
-        diff = points - shift[:, None, :]
-        # d^T Q d read as (d^T Q) . d, so matmul takes Q as stored, contiguous.
-        return 0.5 * np.einsum("bmi,bmi->bm", diff, np.matmul(diff, quad))
-    if spec.kind == "linear":
-        return np.einsum("bmd,bd->bm", points, spec.coef[agents])
-    raise AssertionError(spec.kind)
-
-
-def _grads_rows(spec: ObjectiveSpec, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Analytic gradients for points[b, m, :] under agent agents[b]; (B, m, d)."""
-    if spec.kind == "benchmark":
-        z = spec.zeta[agents]
-        t = np.einsum("bmd,bd->bm", points, z) + spec.v[agents][:, None]
-        sig = _sigmoid(t)
-        sq = np.einsum("bmd,bmd->bm", points, points)
-        part1 = (spec.alpha[agents][:, None] * sig * (1.0 - sig))[:, :, None] * z[:, None, :]
-        part2 = (spec.beta[agents][:, None] * 2.0 / (1.0 + sq))[:, :, None] * points
-        return part1 + part2
-    if spec.kind == "quadratic":
-        # The gradient is Q . diff itself, so it keeps that reading; no run calls it.
-        diff = points - spec.shift[agents][:, None, :]
-        return np.matmul(diff, spec.quad[agents].transpose(0, 2, 1))
-    if spec.kind == "linear":
-        return np.broadcast_to(spec.coef[agents][:, None, :], points.shape).copy()
-    raise AssertionError(spec.kind)
-
-
-def global_grad(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    """Gradient of the network objective f = (1/N) sum_i f_i at x.
-
-    Contracts over agents in closed form; equals the mean of the per-agent
-    gradients (_grads_rows) at x up to summation order.
-    """
-    x = np.asarray(x, dtype=float)
-    n = spec.n_agents
-    if spec.kind == "benchmark":
-        sig = _sigmoid(spec.zeta @ x + spec.v)
-        return ((spec.alpha * sig * (1.0 - sig)) @ spec.zeta
-                + (2.0 * spec.beta.sum() / (1.0 + x @ x)) * x) / n
-    if spec.kind == "quadratic":
-        qbar, qshift = spec._quad_moments
-        return qbar @ x - qshift
-    if spec.kind == "linear":
-        return spec.coef.mean(axis=0)
-    raise AssertionError(spec.kind)
 
 
 class ZerothOrderOracle:
@@ -224,7 +226,7 @@ class ZerothOrderOracle:
             raise IndexError(f"agent rows must be in [0, {self.spec.n_agents}), "
                              f"got {agents.min()}")
         np.add.at(self.query_count, agents, points.shape[1])
-        return _values_rows(self.spec, agents, points)
+        return self.spec.values(agents, points)
 
 
 def estimate_smoothness(spec: ObjectiveSpec) -> float:
@@ -245,9 +247,9 @@ def estimate_smoothness(spec: ObjectiveSpec) -> float:
         x = scale * rng.standard_normal(shape)
         far = scale * rng.standard_normal(shape)
         near = x + 1e-3 * rng.standard_normal(shape)
-        gx = _grads_rows(spec, agents, x)
+        gx = spec.grads(agents, x)
         for y in (far, near):
-            gy = _grads_rows(spec, agents, y)
+            gy = spec.grads(agents, y)
             num = np.linalg.norm(gx - gy, axis=2)
             den = np.linalg.norm(x - y, axis=2)
             ratio = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)

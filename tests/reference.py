@@ -10,19 +10,19 @@ import numpy as np
 
 from dzo.harness import CSV_HEADER
 from dzo.metrics import MetricsRow
-from dzo.oracle import ObjectiveSpec, _grads_rows, _values_rows
+from dzo.oracle import ObjectiveSpec
 
 
 def objective_value(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> float:
     """Uncounted f_i(x), the reference value tests compare the oracle with."""
     pts = np.asarray(x, dtype=float).reshape(1, 1, spec.dim)
-    return float(_values_rows(spec, np.array([agent]), pts)[0, 0])
+    return float(spec.values(np.array([agent]), pts)[0, 0])
 
 
 def analytic_grad(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> np.ndarray:
     """Closed-form gradient of f_i at x; never counted as a query."""
     pts = np.asarray(x, dtype=float).reshape(1, 1, spec.dim)
-    return _grads_rows(spec, np.array([agent]), pts)[0, 0]
+    return spec.grads(np.array([agent]), pts)[0, 0]
 
 
 def read_csv(path: str | Path) -> list[MetricsRow]:

@@ -42,8 +42,11 @@ def test_schedule_shapes():
     decaying = Schedule(step_size=0.1, step_decay=0.5)
     assert decaying.step_size_at(4) == pytest.approx(0.05)
 
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="u_decay <= 1/2") as record:
         Schedule(step_size=0.1, u_decay=0.5)
+    # The warning names the file that built the Schedule, not the
+    # dataclass-generated __init__ ("<string>").
+    assert [w.filename for w in record] == [__file__]
     with pytest.raises(ValueError):
         Schedule(step_size=-0.1)
     with pytest.raises(ValueError):

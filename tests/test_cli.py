@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dzo
+import dzo.cli
 from dzo.algorithms import ALGORITHMS, STOP_KINDS
 from dzo.cli import main
 from dzo.estimators import COUNTING_MODES
@@ -117,6 +118,23 @@ def test_selftest(capsys):
     assert "FAIL" not in out and "OK" in out
 
 
+def test_selftest_fails_on_a_perturbed_tracker(monkeypatch, capsys):
+    # A tracker whose mean drifts from the estimates' mean by 1e-9 / N per
+    # round leaves every metric finite; the tracking check must still fail.
+    step = dzo.cli.vrgt_step
+
+    def perturbed(state, w, schedule):
+        state = step(state, w, schedule)
+        state.s[0, 0] += 1e-9
+        return state
+
+    monkeypatch.setattr(dzo.cli, "vrgt_step", perturbed)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  tracking identity mean(s) == mean(g)" in out
+    assert out.endswith("FAILED: 1 failure(s)\n")
+
+
 def test_replay_across_processes(tmp_path):
     # Sidecar replay must be byte-identical even from a fresh interpreter.
     cfg = ExperimentConfig(
@@ -173,6 +191,23 @@ def test_declared_dependencies_are_what_dzo_imports():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert declared == imported - set(sys.stdlib_module_names)
+
+
+def test_tests_import_no_private_dzo_name():
+    # Tests reach dzo through public names only, so rewriting a private
+    # helper never has to edit a test.
+    private = []
+    for path in sorted((REPO / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dzo":
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.split(".")[0] == "dzo"]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names
+                        if any(part.startswith("_") for part in name.split("."))]
+    assert private == []
 
 
 def test_readme_quick_start():

@@ -196,6 +196,7 @@ def with_values(text, values):
     ({("schedule", "step_decay"): "-1"}, "step_decay must be finite and nonnegative"),
     ({("topology", "n"): "1"}, "build_topology needs n >= 2"),
     ({("topology", "kind"): "erdos_renyi"}, "erdos_renyi needs prob in (0, 1]"),
+    ({("topology", "prob"): "1.5"}, "only erdos_renyi takes a prob, got 1.5 for ring"),
     ({("objective", "dim"): "0"}, "objective dim must be at least 1"),
     ({("run", "x0_scale"): "nan"}, "x0_scale must be finite"),
     ({("run", "x0_scale"): "inf"}, "x0_scale must be finite"),
@@ -203,22 +204,26 @@ def with_values(text, values):
     ({("objective", "seed"): "-1"}, "objective_seed must be nonnegative"),
     ({("topology", "seed"): "-1"}, "topology_seed must be nonnegative"),
 ], ids=["u0_negative", "u0_inf", "step_size_negative", "step_size_nan", "u_decay_above_one",
-        "step_decay_negative", "one_agent", "erdos_renyi_without_prob", "dim_zero",
-        "x0_scale_nan", "x0_scale_inf", "seed_negative", "objective_seed_negative",
+        "step_decay_negative", "one_agent", "erdos_renyi_without_prob", "prob_on_ring",
+        "dim_zero", "x0_scale_nan", "x0_scale_inf", "seed_negative", "objective_seed_negative",
         "topology_seed_negative_on_ring"])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, values, error):
     # Each value used to load and fail only once the run built the schedule,
-    # topology or objective, or (x0_scale, a ring's topology seed) not at all.
+    # topology or objective, or (x0_scale, a ring's topology seed or prob) not
+    # at all.
     text = with_values(config_to_text(tiny_config(out="bad.csv")), values)
     assert_rejected_at_load(text, error, tmp_path, capsys)
 
 
-# Per field: values inside its bounds, then values outside them (a ring or
-# grid ignores prob, so None, 0 and 1.5 are outside only for erdos_renyi).
+# Per field: values inside its bounds, then values outside them.  The
+# topology's kind and prob are drawn as one pair: only erdos_renyi takes a prob.
 _FIELD_VALUES = {
-    "topology_kind": (TopologyKind, ("star",)),
+    ("topology_kind", "topology_prob"): (
+        tuple((kind, 0.5 if kind == "erdos_renyi" else None) for kind in TopologyKind)
+        + (("erdos_renyi", 1.0),),
+        (("star", None), ("erdos_renyi", None), ("erdos_renyi", 0.0), ("erdos_renyi", 1.5),
+         ("ring", 0.5), ("grid", 1.5))),
     "topology_n": ((2, 5), (1,)),
-    "topology_prob": ((0.5, 1.0), (None, 0.0, 1.5)),
     "topology_seed": ((0, 7), (-1,)),
     "objective_kind": (tuple(FAMILIES), ("cubic",)),
     "objective_dim": ((1, 3), (0,)),
@@ -244,10 +249,12 @@ def test_a_config_that_loads_runs(data):
     # many drawn configs construct.  Every one that does must run to finite
     # rows; only a graph sample can show that an Erdos-Renyi draw is
     # disconnected.
-    straddling = data.draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3))
-    fields = {name: data.draw(st.sampled_from(inside + outside if name in straddling else inside),
-                              label=name)
-              for name, (inside, outside) in _FIELD_VALUES.items()}
+    straddling = data.draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES, key=str)), max_size=3))
+    fields = {}
+    for name, (inside, outside) in _FIELD_VALUES.items():
+        value = data.draw(st.sampled_from(inside + outside if name in straddling else inside),
+                          label=str(name))
+        fields.update(zip(name, value) if isinstance(name, tuple) else {name: value})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # u_decay <= 1/2 warns, and loads
         try:

@@ -72,6 +72,8 @@ def test_bad_kind_and_sizes():
         build_topology("ring", 1)
     with pytest.raises(ValueError):
         build_topology("erdos_renyi", 5, prob=0.0)
+    with pytest.raises(ValueError, match="only erdos_renyi takes a prob"):
+        build_topology("grid", 4, prob=0.5)
 
 
 def test_metropolis_path3():
@@ -205,7 +207,7 @@ def test_mixing_matrix_rejects_bad_inputs():
 @pytest.mark.parametrize("kind,n", [("ring", 9), ("path", 7), ("complete", 6),
                                     ("grid", 12), ("erdos_renyi", 25)])
 def test_double_stochasticity_and_contraction(kind, n):
-    t = build_topology(kind, n, seed=5, prob=0.25)
+    t = build_topology(kind, n, seed=5, prob=0.25 if kind == "erdos_renyi" else None)
     w = metropolis_weights(t)
     assert np.max(np.abs(w.w.sum(axis=0) - 1.0)) <= 1e-12
     assert np.max(np.abs(w.w.sum(axis=1) - 1.0)) <= 1e-12

@@ -1,13 +1,14 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dzo.oracle import (
-    ObjectiveSpec,
+    Benchmark,
+    Linear,
     ZerothOrderOracle,
     estimate_smoothness,
-    global_grad,
     make_benchmark,
     make_linear,
     make_quadratic,
@@ -28,8 +29,7 @@ def central_difference(spec, agent, x, h=1e-5):
 
 def log_barrier_spec():
     # Single agent, alpha forced to zero, beta to one: f(x) = ln(1 + x^2).
-    return ObjectiveSpec(kind="benchmark", n_agents=1, dim=1,
-                         alpha=[0.0], beta=[1.0], v=[0.0], zeta=[[0.0]])
+    return Benchmark(n_agents=1, dim=1, alpha=[0.0], beta=[1.0], v=[0.0], zeta=[[0.0]])
 
 
 def test_benchmark_beta_normalized():
@@ -89,15 +89,14 @@ def math_sigmoid(t):
 
 
 def test_sigmoid_stable_at_extremes():
-    spec = ObjectiveSpec(kind="benchmark", n_agents=1, dim=1,
-                         alpha=[1.0], beta=[1.0], v=[0.0], zeta=[[1.0]])
+    spec = Benchmark(n_agents=1, dim=1, alpha=[1.0], beta=[1.0], v=[0.0], zeta=[[1.0]])
     with np.errstate(all="raise"):
         assert objective_value(spec, 0, np.array([1000.0])) == pytest.approx(np.log(1 + 1e6) + 1.0)
         assert np.isfinite(objective_value(spec, 0, np.array([-1000.0])))
         for x in (np.array([1000.0]), np.array([-1000.0])):
             # The sigmoid term has saturated; only the log barrier's 2x/(1+x^2) is left.
             np.testing.assert_allclose(analytic_grad(spec, 0, x), 2 * x / (1 + x @ x), rtol=1e-12)
-            np.testing.assert_allclose(global_grad(spec, x), 2 * x / (1 + x @ x), rtol=1e-12)
+            np.testing.assert_allclose(spec.global_grad(x), 2 * x / (1 + x @ x), rtol=1e-12)
 
         # Across the saturating range, zeta.x = x here.  The sigmoid is exact up
         # to rounding, so values and gradients agree with the math reference to
@@ -111,7 +110,7 @@ def test_sigmoid_stable_at_extremes():
             want = s + math.log1p(x * x)
             assert abs(got - want) <= tol * max(1.0, abs(want)), x
             want = s * (1.0 - s) + 2.0 * x / (1.0 + x * x)
-            got = float(global_grad(spec, np.array([x]))[0])
+            got = float(spec.global_grad(np.array([x]))[0])
             assert abs(got - want) <= tol * max(1.0, abs(want)), x
 
 
@@ -205,7 +204,7 @@ def test_global_grad_is_mean(maker):
     spec = maker()
     x = np.array([0.3, -1.0, 0.7])
     per_agent = [analytic_grad(spec, i, x) for i in range(spec.n_agents)]
-    np.testing.assert_allclose(global_grad(spec, x), np.mean(per_agent, axis=0),
+    np.testing.assert_allclose(spec.global_grad(x), np.mean(per_agent, axis=0),
                                rtol=1e-14, atol=1e-15)
 
 
@@ -263,9 +262,8 @@ def test_smoothness_reproducible():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ObjectiveSpec(kind="benchmark", n_agents=2, dim=1,
-                      alpha=[0.0, 0.0], beta=[1.0, 1.5], v=[0.0, 0.0],
-                      zeta=[[0.0], [0.0]])  # beta mean != 1
+        Benchmark(n_agents=2, dim=1, alpha=[0.0, 0.0], beta=[1.0, 1.5], v=[0.0, 0.0],
+                  zeta=[[0.0], [0.0]])  # beta mean != 1
     with pytest.raises(ValueError):
         make_quadratic(1, 2, quad=np.array([[[1.0, 2.0], [0.0, 1.0]]]))  # asymmetric
     # The first offending agent is named, whichever check it fails.
@@ -277,5 +275,49 @@ def test_spec_validation():
     quad[1] = np.diag([1.0, -1e-9])
     with pytest.raises(ValueError, match=r"^quad\[1\] is not PSD$"):
         make_quadratic(4, 2, quad=quad)
-    with pytest.raises(ValueError):
-        ObjectiveSpec(kind="mystery", n_agents=1, dim=1)
+
+
+def test_each_family_takes_only_its_own_fields():
+    specs = [make_benchmark(2, 3, seed=1), make_quadratic(2, 3, seed=1), make_linear(2, 3, seed=1)]
+    for spec in specs:
+        own = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        assert type(spec)(**own).kind == spec.kind
+        for other in specs:
+            for name in {f.name for f in fields(other)} - own.keys():
+                with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                    type(spec)(**own, **{name: getattr(other, name)})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'kind'"):
+            type(spec)(**own, kind=spec.kind)
+    with pytest.raises(TypeError):
+        Linear(n_agents=1, dim=2, coef=[[1, 2]], zeta=[[math.nan]], quad="garbage")
+
+
+def _with(arr, index, value):
+    arr = np.array(arr)
+    arr[index] = value
+    return arr
+
+
+BENCH = make_benchmark(2, 3, seed=1)
+QUAD = make_quadratic(2, 3, seed=1)
+LIN = make_linear(2, 3, seed=1)
+
+
+@pytest.mark.parametrize("spec, changes, error", [
+    (BENCH, dict(zeta=_with(BENCH.zeta, (1, 2), math.nan)), "zeta has non-finite entries"),
+    (BENCH, dict(v=_with(BENCH.v, 0, math.inf)), "v has non-finite entries"),
+    (BENCH, dict(alpha=np.zeros(3)), r"alpha must have shape \(2,\), got \(3,\)"),
+    (BENCH, dict(beta=BENCH.beta * 1.001), r"mean\(beta\) == 1"),
+    (QUAD, dict(shift=_with(QUAD.shift, (0, 1), math.nan)), "shift has non-finite entries"),
+    (QUAD, dict(quad=np.eye(3)), r"quad must have shape \(2, 3, 3\), got \(3, 3\)"),
+    (QUAD, dict(quad=_with(QUAD.quad, (1, 0, 2), 5.0)), r"^quad\[1\] is not symmetric$"),
+    (QUAD, dict(quad=np.stack([-np.eye(3), np.eye(3)])), r"^quad\[0\] is not PSD$"),
+    (LIN, dict(coef=_with(LIN.coef, (1, 0), math.nan)), "coef has non-finite entries"),
+    (LIN, dict(coef=LIN.coef.T), r"coef must have shape \(2, 3\), got \(3, 2\)"),
+    (LIN, dict(n_agents=0), "need n_agents >= 1 and dim >= 1"),
+], ids=["benchmark_nan", "benchmark_inf", "benchmark_shape", "benchmark_beta_mean",
+        "quadratic_nan", "quadratic_shape", "quadratic_asymmetric", "quadratic_indefinite",
+        "linear_nan", "linear_shape", "linear_no_agents"])
+def test_replace_revalidates(spec, changes, error):
+    with pytest.raises(ValueError, match=error):
+        replace(spec, **changes)
