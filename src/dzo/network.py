@@ -55,7 +55,7 @@ class Topology:
         return _build_metropolis(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Symmetric doubly stochastic weights with contraction rate sigma.
 
@@ -75,7 +75,8 @@ class MixingMatrix:
     in 0.5 ms against 1.4 ms dense; at N=200, K=18 (d=32) the two tie at
     ~90 µs; at N=50, K=17 (d=64) dense wins, 10 µs to 36 µs.  The two
     products agree to rounding (3e-16 relative on those graphs); the dense
-    one is exactly `w @ x`.
+    one is exactly `w @ x`.  Like the objective specs, a MixingMatrix
+    compares and hashes by identity.
     """
 
     w: np.ndarray
@@ -135,8 +136,6 @@ class MixingMatrix:
 
 
 def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)
@@ -155,26 +154,18 @@ def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
     return count == n
 
 
-def _ring_edges(n: int) -> set[tuple[int, int]]:
-    return {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
-
-
-def _grid_edges(n: int) -> set[tuple[int, int]]:
-    # Nearly square r x c lattice with r*c == n (falls back toward a path
-    # when n is prime).
-    r = int(np.sqrt(n))
+def _lattice_edges(kind: str, n: int) -> list[tuple[int, int]]:
+    # The fixed kinds but complete are r x c lattices numbered row by row:
+    # a path is 1 x n, a grid the most nearly square r x c with r*c == n (a
+    # path when n is prime), and a ring a path closed by (0, n - 1).
+    if kind == "complete":
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    r = int(np.sqrt(n)) if kind == "grid" else 1
     while n % r:
         r -= 1
     c = n // r
-    edges = set()
-    for a in range(r):
-        for b in range(c):
-            v = a * c + b
-            if b + 1 < c:
-                edges.add((v, v + 1))
-            if a + 1 < r:
-                edges.add((v, v + c))
-    return edges
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % c] + [(v, v + c) for v in range(n - c)]
+    return edges + [(0, n - 1)] if kind == "ring" else edges
 
 
 def check_topology(kind: str, n: int, prob: float | None) -> None:
@@ -194,30 +185,26 @@ def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) 
     """Construct a connected topology of the requested kind.
 
     kind is one of ring, path, complete, erdos_renyi, grid; check_topology
-    rejects anything else.  erdos_renyi redraws with fresh derived seeds
-    until the sample is connected (at most 100 attempts, then raises).
+    rejects anything else.  Each candidate edge list is tried as a Topology
+    and the first connected one is returned: a fixed kind has one candidate,
+    its lattice, while erdos_renyi draws up to 100 with fresh derived seeds
+    and raises if none is connected.
     """
     check_topology(kind, n, prob)
-    if kind == "ring":
-        edges = _ring_edges(n)
-    elif kind == "path":
-        edges = {(i, i + 1) for i in range(n - 1)}
-    elif kind == "complete":
-        edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    elif kind == "grid":
-        edges = _grid_edges(n)
+    if kind == "erdos_renyi":
+        rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(_ER_MAX_TRIES))
+        candidates = (map(tuple, np.argwhere(np.triu(g.random((n, n)) < prob, 1)).tolist())
+                      for g in rngs)
     else:
-        for child in np.random.SeedSequence(seed).spawn(_ER_MAX_TRIES):
-            mask = np.random.default_rng(child).random((n, n)) < prob
-            edges = frozenset(map(tuple, np.argwhere(np.triu(mask, 1)).tolist()))
-            try:
-                return Topology(n_agents=n, edges=edges)
-            except DisconnectedGraphError:
-                continue
-        raise DisconnectedGraphError(
-            f"no connected Erdos-Renyi sample in {_ER_MAX_TRIES} tries (n={n}, prob={prob})"
-        )
-    return Topology(n_agents=n, edges=frozenset(edges))
+        candidates = [_lattice_edges(kind, n)]
+    for edges in candidates:
+        try:
+            return Topology(n_agents=n, edges=frozenset(edges))
+        except DisconnectedGraphError:
+            continue
+    raise DisconnectedGraphError(
+        f"no connected Erdos-Renyi sample in {_ER_MAX_TRIES} tries (n={n}, prob={prob})"
+    )
 
 
 def metropolis_weights(t: Topology) -> MixingMatrix:
@@ -232,7 +219,7 @@ def metropolis_weights(t: Topology) -> MixingMatrix:
 
 def _build_metropolis(t: Topology) -> MixingMatrix:
     n = t.n_agents
-    e = np.array(sorted(t.edges), dtype=np.int64).reshape(-1, 2)
+    e = np.array(list(t.edges), dtype=np.int64).reshape(-1, 2)
     deg = np.bincount(e.ravel(), minlength=n)
     i, j = e[:, 0], e[:, 1]
     w = np.zeros((n, n))

@@ -34,9 +34,12 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
-    """Immutable per-agent objective parameters; a family subclass adds its arrays."""
+    """Immutable per-agent objective parameters; a family subclass adds its arrays.
+
+    Specs compare and hash by identity, since array fields have no single
+    truth value."""
 
     n_agents: int
     dim: int
@@ -57,7 +60,7 @@ class ObjectiveSpec:
             object.__setattr__(self, name, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Benchmark(ObjectiveSpec):
     kind: ClassVar[str] = "benchmark"
     alpha: np.ndarray   # (N,)
@@ -94,7 +97,7 @@ class Benchmark(ObjectiveSpec):
                 + (2.0 * self.beta.sum() / (1.0 + x @ x)) * x) / self.n_agents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadratic(ObjectiveSpec):
     kind: ClassVar[str] = "quadratic"
     quad: np.ndarray    # (N, d, d), symmetric PSD
@@ -137,7 +140,7 @@ class Quadratic(ObjectiveSpec):
         return qbar @ x - qshift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linear(ObjectiveSpec):
     kind: ClassVar[str] = "linear"
     coef: np.ndarray    # (N, d)
@@ -214,10 +217,15 @@ class ZerothOrderOracle:
     def evaluate_rows(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Batched queries: points[b, m, :] against agent agents[b]; (B, m).
 
-        Each of the m points charges one query to the owning agent.  A row
-        outside [0, N) raises IndexError before any query is charged.
+        Each of the m points charges one query to the owning agent.  Rows
+        that are not a 1-D integer array, or a row outside [0, N), raise
+        IndexError before any query is charged.
         """
-        agents = np.asarray(agents, dtype=np.int64)
+        agents = np.asarray(agents)
+        if agents.ndim != 1 or (agents.size and agents.dtype.kind not in "iu"):
+            raise IndexError(f"agent rows must be a 1-D integer array, got {agents.dtype} "
+                             f"of shape {agents.shape}")
+        agents = agents.astype(np.int64, copy=False)
         points = np.asarray(points, dtype=float)
         if points.ndim != 3 or points.shape[0] != agents.shape[0] \
                 or points.shape[2] != self.spec.dim:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from dzo.network import (
     metropolis_weights,
     mix,
 )
-from dzo.oracle import make_benchmark
+from dzo.oracle import FAMILIES, make_benchmark
 
 # Hand-derived Metropolis weights for the 3-node path (degrees 1, 2, 1).
 PATH3_W = np.array([
@@ -44,6 +46,30 @@ def test_path_edges():
 
 def test_complete_edge_count():
     assert len(build_topology("complete", 4).edges) == 6
+
+
+def test_fixed_kinds_edge_sets():
+    def edges(kind, n):
+        return build_topology(kind, n).edges
+
+    assert edges("ring", 2) == {(0, 1)}
+    assert edges("ring", 5) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    assert edges("path", 4) == {(0, 1), (1, 2), (2, 3)}
+    assert edges("complete", 4) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+    # grid(6) is 2 x 3, grid(9) is 3 x 3, and a prime grid is a path.
+    assert edges("grid", 6) == {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
+    assert edges("grid", 7) == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
+    assert edges("grid", 9) == {(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8),
+                                (0, 3), (3, 6), (1, 4), (4, 7), (2, 5), (5, 8)}
+    for n in range(2, 61):
+        r = max(k for k in range(1, math.isqrt(n) + 1) if n % k == 0)
+        c = n // r
+        assert len(edges("ring", n)) == (n if n >= 3 else 1)
+        assert len(edges("path", n)) == n - 1
+        assert len(edges("complete", n)) == n * (n - 1) // 2
+        assert len(edges("grid", n)) == r * (c - 1) + (r - 1) * c
+    with pytest.raises(TypeError):
+        build_topology("ring", 5.0)
 
 
 def test_erdos_renyi_connected():
@@ -95,6 +121,20 @@ def test_sigma_known_values():
     assert MixingMatrix(PATH3_W).sigma == pytest.approx(2 / 3, abs=1e-10)
     with pytest.raises(ValueError):
         MixingMatrix(np.ones((2, 3)))
+
+
+def test_array_holders_compare_by_identity():
+    # An array field has no single truth value, so specs and weights compare
+    # and hash by identity; Topology keeps value equality.
+    pairs = [(make(2, 3, seed=1), make(2, 3, seed=1)) for make in FAMILIES.values()]
+    pairs.append((MixingMatrix(np.full((2, 2), 0.5)), MixingMatrix(np.full((2, 2), 0.5))))
+    for a, twin in pairs:
+        assert a == a and a != twin
+        assert hash(a) == hash(a)
+        table = {a: 1, twin: 2}
+        assert table[a] == 1 and table[twin] == 2
+    assert build_topology("ring", 4) == build_topology("ring", 4)
+    assert hash(build_topology("ring", 4)) == hash(build_topology("ring", 4))
 
 
 def test_sigma_deterministic():

@@ -230,7 +230,7 @@ def test_query_counters():
 
 
 def test_evaluate_rows_rejects_bad_input():
-    oracle = ZerothOrderOracle(make_benchmark(2, 3, seed=0))
+    oracle = ZerothOrderOracle(make_benchmark(3, 3, seed=0))
     agents = np.arange(2)
     for bad in (np.zeros((2, 3)),          # 2-D points
                 np.zeros((3, 1, 3)),       # rows differ from len(agents)
@@ -240,6 +240,12 @@ def test_evaluate_rows_rejects_bad_input():
     for rows in ([5], [1, 5], [-1], [0, -2]):  # past N, or negative
         with pytest.raises(IndexError):
             oracle.evaluate_rows(np.array(rows), np.zeros((len(rows), 1, 3)))
+    # A fractional row or a boolean mask would otherwise be cast to indices,
+    # and a column of rows would be charged before the objective rejects it.
+    for rows in ([1.7], [False, True, True], [[0], [1]]):
+        with pytest.raises(IndexError, match="must be a 1-D integer array"):
+            oracle.evaluate_rows(rows, np.zeros((len(rows), 1, 3)))
+    assert oracle.evaluate_rows([], np.zeros((0, 1, 3))).shape == (0, 1)
     assert oracle.total_queries == 0
 
 
