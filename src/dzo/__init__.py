@@ -11,9 +11,8 @@ or ``dzo.estimators``.  The step-size limits and contraction certificates
 live in ``dzo.theory``, which ``import dzo`` does not load.
 """
 
-from .algorithms import Schedule, StopRule, run
+from .algorithms import MetricsRow, Schedule, StopRule, run
 from .harness import run_experiment
-from .metrics import MetricsRow
 from .network import build_topology, metropolis_weights, mix
 from .oracle import ZerothOrderOracle, make_benchmark, make_quadratic
 

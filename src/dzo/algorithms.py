@@ -16,10 +16,15 @@ Three algorithms, all advancing every agent in lockstep per round:
 gt2d and vrgt share one gradient-tracking round (DIGing) fed by different
 estimates.  Every step takes ``(state, w, schedule)`` and reads the oracle,
 rng and vrgt's refresh policy from the state its ``init_<name>`` built.
+
+``run`` records one ``MetricsRow`` per round through ``compute_metrics``:
+the stationarity gap, the consensus error and, for the tracked algorithms,
+the tracking error, all from analytic gradients (never counted as queries).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .estimators import SnapshotBlock, check_policy, sphere, sweep, two_point, vr_estimate
-from .metrics import MetricsRow, compute_metrics
 from .network import MixingMatrix, Topology, metropolis_weights
 from .oracle import ObjectiveSpec, ZerothOrderOracle
 
@@ -88,11 +92,12 @@ class StopRule:
             raise ValueError("stop limit must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunState:
     """Mutable state of one run.  A run owns its oracle, its rng stream and,
     for vrgt, its refresh probability and counting mode: every step reads
-    them from here, and init_vrgt runs check_policy before any query."""
+    them from here, and init_vrgt runs check_policy before any query.  Its
+    array fields make it compare by identity."""
 
     k: int
     x: np.ndarray                      # (N, d) iterates
@@ -103,6 +108,47 @@ class RunState:
     snapshots: SnapshotBlock | None = None
     p: float = 0.0
     counting_mode: str = "paper_faithful"
+
+
+@dataclass(frozen=True)
+class MetricsRow:
+    """One record per synchronous round.
+
+    m is the cumulative number of fresh oracle queries across all agents.
+    tracking_err is None for algorithms without a tracker.
+    """
+
+    k: int
+    m: int
+    stat_gap: float
+    consensus_err: float
+    tracking_err: float | None
+
+    def __post_init__(self) -> None:
+        vals = [self.stat_gap, self.consensus_err]
+        if self.tracking_err is not None:
+            vals.append(self.tracking_err)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"non-finite metrics at round {self.k}")
+
+
+def compute_metrics(state: RunState) -> MetricsRow:
+    """Stationarity gap ||grad f(xbar)||^2, mean squared consensus error,
+    and (for tracked algorithms) mean squared tracker error against
+    grad f(xbar), for the objective of the state's oracle."""
+    n = state.x.shape[0]
+    xbar = state.x.mean(axis=0)
+    grad = state.oracle.spec.global_grad(xbar)
+    stat_gap = float(grad @ grad)
+    dx = (state.x - xbar).ravel()
+    consensus = float(dx @ dx) / n
+    tracking = None
+    if state.s is not None:
+        ds = (state.s - grad).ravel()
+        tracking = float(ds @ ds) / n
+    return MetricsRow(k=state.k, m=state.oracle.total_queries,
+                      stat_gap=stat_gap, consensus_err=consensus,
+                      tracking_err=tracking)
 
 
 def init_dgd2p(oracle: ZerothOrderOracle, x0: np.ndarray,

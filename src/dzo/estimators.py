@@ -79,8 +79,15 @@ def sweep(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray,
 
 def coord_pair(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
                l: np.ndarray) -> np.ndarray:
-    """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,)."""
-    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[:, 0]
+    """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,).
+
+    Raises IndexError before any query when a coordinate lies outside [0, d):
+    the stencil writes through flat offsets, so one would land in another row.
+    """
+    l = np.asarray(l)
+    if l.size and (l.min() < 0 or l.max() >= x.shape[1]):
+        raise IndexError(f"coordinates must lie in [0, {x.shape[1]})")
+    return _stencil(oracle, rows, x, u, l[:, None])[:, 0]
 
 
 class SnapshotBlock:

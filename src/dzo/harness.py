@@ -40,9 +40,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .algorithms import ALGORITHMS, Schedule, StopRule, run
+from .algorithms import ALGORITHMS, MetricsRow, Schedule, StopRule, run
 from .estimators import check_policy
-from .metrics import MetricsRow
 from .network import Topology, build_topology, check_topology
 from .oracle import FAMILIES, ObjectiveSpec
 

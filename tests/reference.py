@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from dzo.harness import CSV_HEADER
-from dzo.metrics import MetricsRow
+from dzo.algorithms import MetricsRow
 from dzo.oracle import ObjectiveSpec
 
 

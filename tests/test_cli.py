@@ -210,6 +210,29 @@ def test_tests_import_no_private_dzo_name():
     assert private == []
 
 
+def test_dzo_imports_form_no_cycle():
+    # Every relative import under src/dzo, those under `if TYPE_CHECKING:`
+    # included, is an edge of the module graph, which must stay acyclic.
+    graph = {}
+    for path in sorted((REPO / "src" / "dzo").glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                deps.update([node.module] if node.module else [a.name for a in node.names])
+        graph[path.stem] = deps
+
+    def cycle_through(mod, trail):
+        if mod in trail:
+            return trail[trail.index(mod):] + [mod]
+        for dep in sorted(graph.get(mod, ())):
+            if cycle := cycle_through(dep, trail + [mod]):
+                return cycle
+        return None
+
+    cycles = [" -> ".join(c) for mod in sorted(graph) if (c := cycle_through(mod, []))]
+    assert cycles == []
+
+
 def test_readme_quick_start():
     readme = (REPO / "README.md").read_text()
     code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)

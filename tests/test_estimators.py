@@ -112,6 +112,13 @@ def test_coordinate_examples():
                                atol=1e-12)
     with pytest.raises(IndexError):
         coord_pair(lin, ROW, np.zeros((1, 2)), 0.4, np.array([2]))
+    # An out-of-range coordinate on an earlier row would spill into the next
+    # row's points; it is rejected before any query.
+    two = ZerothOrderOracle(make_linear(2, 3, seed=0))
+    for l in ([3, 0], [-1, 0]):
+        with pytest.raises(IndexError):
+            coord_pair(two, np.arange(2), np.zeros((2, 3)), 0.5, np.array(l))
+    assert two.total_queries == 0
 
 
 def test_coordinate_average_is_full_sweep():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dzo.algorithms import ALGORITHMS, RunState
+from dzo.algorithms import ALGORITHMS, MetricsRow, RunState, compute_metrics
 from dzo.cli import main
 from dzo.harness import (
     CSV_HEADER,
@@ -27,7 +27,6 @@ from dzo.harness import (
     write_csv,
 )
 from dzo.estimators import COUNTING_MODES
-from dzo.metrics import MetricsRow, compute_metrics
 from dzo.network import DisconnectedGraphError, TopologyKind
 from dzo.oracle import FAMILIES, ZerothOrderOracle, make_benchmark, make_quadratic
 from reference import fit_decay_rate, read_csv

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzo import network
-from dzo.algorithms import ALGORITHMS, Schedule, StopRule, run
+from dzo.algorithms import ALGORITHMS, RunState, Schedule, StopRule, run
 from dzo.network import (
     DisconnectedGraphError,
     MixingMatrix,
@@ -124,10 +124,12 @@ def test_sigma_known_values():
 
 
 def test_array_holders_compare_by_identity():
-    # An array field has no single truth value, so specs and weights compare
-    # and hash by identity; Topology keeps value equality.
+    # An array field has no single truth value, so specs, weights and run
+    # states compare by identity; Topology keeps value equality.
     pairs = [(make(2, 3, seed=1), make(2, 3, seed=1)) for make in FAMILIES.values()]
     pairs.append((MixingMatrix(np.full((2, 2), 0.5)), MixingMatrix(np.full((2, 2), 0.5))))
+    pairs.append((RunState(k=0, x=np.zeros((2, 2)), oracle=None, rng=None),
+                  RunState(k=0, x=np.zeros((2, 2)), oracle=None, rng=None)))
     for a, twin in pairs:
         assert a == a and a != twin
         assert hash(a) == hash(a)
