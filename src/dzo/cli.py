@@ -58,8 +58,9 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    print("sigma,d,p,step_limit,step_limit_p_inv_d,alpha_l,weighted_norm,bound,"
-          "spectral_radius,satisfied")
+    # All rows are built before any is printed: a rejected input prints none.
+    rows = ["sigma,d,p,step_limit,step_limit_p_inv_d,alpha_l,weighted_norm,bound,"
+            "spectral_radius,satisfied"]
     for sigma in _floats(args.sigma):
         for d in _ints(args.d):
             for p in _floats(args.p):
@@ -71,9 +72,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 alpha_l = args.alpha_l if args.alpha_l is not None \
                     else theory.contraction_step_limit(sigma, d)
                 cert = theory.certify_contraction(sigma, d, alpha_l)
-                print(f"{sigma:g},{d},{p:g},{lim:.12g},{lim_inv:.12g},{alpha_l:.12g},"
-                      f"{cert.weighted_norm:.12g},{cert.bound:.12g},"
-                      f"{cert.spectral_radius:.12g},{str(cert.satisfied).lower()}")
+                rows.append(f"{sigma:g},{d},{p:g},{lim:.12g},{lim_inv:.12g},{alpha_l:.12g},"
+                            f"{cert.weighted_norm:.12g},{cert.bound:.12g},"
+                            f"{cert.spectral_radius:.12g},{str(cert.satisfied).lower()}")
+    print("\n".join(rows))
     return 0
 
 

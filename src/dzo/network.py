@@ -52,7 +52,14 @@ class Topology:
     @cached_property
     def _metropolis(self) -> MixingMatrix:
         # Built on first read and kept on this instance; see metropolis_weights.
-        return _build_metropolis(self)
+        n = self.n_agents
+        e = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        deg = np.bincount(e.ravel(), minlength=n)
+        i, j = e[:, 0], e[:, 1]
+        w = np.zeros((n, n))
+        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+        return MixingMatrix(w=w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +73,17 @@ class MixingMatrix:
     1e-12.  sigma itself is not checked: it may equal 1 (e.g. for the
     identity), and such a matrix does not contract.
 
-    `w` is always the dense matrix; `apply` multiplies a stacked (N, d)
-    state by it.  On first use `apply` fixes its product from W's fill: with
-    K the largest number of nonzeros in a row, a padded neighbour list
-    (ELL: K column indices and weights per row) when 20·K <= N, else the
-    dense BLAS product.  The rule rests on single-thread medians measured
-    on Erdős–Rényi graphs: at N=1000, K=24 (d=16) the neighbour list mixes
-    in 0.5 ms against 1.4 ms dense; at N=200, K=18 (d=32) the two tie at
-    ~90 µs; at N=50, K=17 (d=64) dense wins, 10 µs to 36 µs.  The two
-    products agree to rounding (3e-16 relative on those graphs); the dense
-    one is exactly `w @ x`.  Like the objective specs, a MixingMatrix
-    compares and hashes by identity.
+    `w` is always the dense matrix; `apply` (alias `mix`) is the one checked
+    product with a stacked (N, d) state.  On first use it fixes the product
+    from W's fill: with K the largest number of nonzeros in a row, a padded
+    neighbour list (ELL: K column indices and weights per row) when
+    20·K <= N, else the dense BLAS product.  The rule rests on single-thread
+    medians measured on Erdős–Rényi graphs: at N=1000, K=24 (d=16) the
+    neighbour list mixes in 0.5 ms against 1.4 ms dense; at N=200, K=18
+    (d=32) the two tie at ~90 µs; at N=50, K=17 (d=64) dense wins, 10 µs to
+    36 µs.  The two products agree to rounding (3e-16 relative on those
+    graphs); the dense one is exactly `w @ x`.  Like the objective specs, a
+    MixingMatrix compares and hashes by identity.
     """
 
     w: np.ndarray
@@ -126,8 +133,13 @@ class MixingMatrix:
         return idx, wts
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """W @ x for a stacked (N, d) state, through the product fixed by
-        the rule in the class docstring."""
+        """One consensus round: output row i is sum_j W[i,j] * row j of the
+        stacked (N, d) state x, through the product fixed by the rule in the
+        class docstring.  Preserves the column-wise mean because W is doubly
+        stochastic.  Raises ValueError for any x that is not (N, d)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != self.n_agents:
+            raise ValueError(f"stacked state must be ({self.n_agents}, d), got shape {x.shape}")
         ell = self._neighbours
         if ell is None:
             return self.w @ x
@@ -217,25 +229,4 @@ def metropolis_weights(t: Topology) -> MixingMatrix:
     return t._metropolis
 
 
-def _build_metropolis(t: Topology) -> MixingMatrix:
-    n = t.n_agents
-    e = np.array(list(t.edges), dtype=np.int64).reshape(-1, 2)
-    deg = np.bincount(e.ravel(), minlength=n)
-    i, j = e[:, 0], e[:, 1]
-    w = np.zeros((n, n))
-    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return MixingMatrix(w=w)
-
-
-def mix(w: MixingMatrix, stacked: np.ndarray) -> np.ndarray:
-    """One consensus round: output row i is sum_j W[i,j] * row j.
-
-    Preserves the column-wise mean because W is doubly stochastic.
-    """
-    stacked = np.asarray(stacked, dtype=float)
-    if stacked.ndim != 2 or stacked.shape[0] != w.n_agents:
-        raise ValueError(
-            f"stacked state must be ({w.n_agents}, d), got shape {stacked.shape}"
-        )
-    return w.apply(stacked)
+mix = MixingMatrix.apply  # one consensus round; see MixingMatrix.apply

@@ -112,6 +112,7 @@ def contraction_matrix(sigma: float, d: int, alpha_l: float) -> np.ndarray:
 def contraction_step_limit(sigma: float, d: int) -> float:
     """alpha * L level at which the weighted-norm certificate is guaranteed:
     (1-sigma^2)^3 / (12 sqrt(29) d^{5/2})."""
+    _check(sigma, d)
     return (1.0 - sigma**2) ** 3 / (12.0 * _SQRT29 * d**2.5)
 
 

@@ -45,6 +45,16 @@ def test_verify_reports_out_of_range_p(capsys):
     assert "nan" in out[1]
 
 
+def test_verify_rejects_bad_input_before_printing(capsys):
+    # A rejected input prints nothing to stdout, not even the header.
+    for argv in (["--sigma", "0.5", "--d", "2", "--p", "0.5"],
+                 ["--sigma", "0.5,1.5", "--d", "16", "--p", "0.5"]):
+        assert main(["verify", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_run_subcommand(tmp_path, capsys):
     cfg = ExperimentConfig(
         topology_kind="ring", topology_n=4, topology_seed=0,

@@ -1,12 +1,12 @@
 """Generative differential test: ``run`` against a per-agent replay.
 
 Hypothesis draws a topology, an objective, an algorithm, its refresh
-policy, the step-size decay and the kind of start, runs a few rounds
-through ``dzo.run`` and replays them one agent at a time: Metropolis
-weights rebuilt from the edge list, mixing as an explicit sum over each
-agent's neighbours, the estimators of ``per_agent_reference`` and the
-metrics from ``reference.analytic_grad``.  Both sides draw from the same
-seed streams, in the order ``run`` does.
+policy, the step-size decay and the kind and scale of the start, runs a
+few rounds through ``dzo.run`` and replays them one agent at a time:
+Metropolis weights rebuilt from the edge list, mixing as an explicit sum
+over each agent's neighbours, the estimators of ``per_agent_reference``
+and the metrics from ``reference.analytic_grad``.  Both sides draw from
+the same seed streams, in the order ``run`` does.
 
 Round and query counts must be exact.  Each metric is a mean squared norm
 of vectors that the two sides round differently, and the root of such a
@@ -56,6 +56,9 @@ def configs(draw):
         p=draw(st.floats(0.0, 1.0)),
         step_decay=draw(st.floats(0.0, 1.0)),
         heterogeneous_x0=draw(st.booleans()),
+        # Off the finite-difference cancellation floor that a scale of 6e-5
+        # reaches, and away from run's default of 1.
+        x0_scale=draw(st.floats(0.1, 2.0)),
         seed=draw(st.integers(0, 2**16)),
         rounds=draw(st.integers(3, 5)),
     )
@@ -104,9 +107,9 @@ def replay(cfg, topology, spec, schedule):
     ss_init, ss_rounds = np.random.SeedSequence(cfg["seed"]).spawn(2)
     rng_init = np.random.default_rng(ss_init)
     if cfg["heterogeneous_x0"]:
-        x = rng_init.standard_normal((n, d))
+        x = cfg["x0_scale"] * rng_init.standard_normal((n, d))
     else:
-        x = np.array([rng_init.standard_normal(d)] * n)
+        x = np.array([cfg["x0_scale"] * rng_init.standard_normal(d)] * n)
     rng = np.random.default_rng(ss_rounds)
 
     s = g_prev = None
@@ -162,13 +165,13 @@ def replay(cfg, topology, spec, schedule):
 # N >= 60, grid at N = 100.
 @example(dict(kind="ring", n=60, prob=None, topology_seed=0, family="benchmark", d=3,
               objective_seed=1, algorithm="gt2d", counting_mode="cached", p=0.5,
-              step_decay=0.0, heterogeneous_x0=True, seed=2, rounds=3))
+              step_decay=0.0, heterogeneous_x0=True, x0_scale=0.5, seed=2, rounds=3))
 @example(dict(kind="path", n=61, prob=None, topology_seed=0, family="quadratic", d=4,
               objective_seed=2, algorithm="vrgt", counting_mode="paper_faithful", p=0.3,
-              step_decay=0.0, heterogeneous_x0=True, seed=3, rounds=3))
+              step_decay=0.0, heterogeneous_x0=True, x0_scale=1.5, seed=3, rounds=3))
 @example(dict(kind="grid", n=100, prob=None, topology_seed=0, family="linear", d=2,
               objective_seed=3, algorithm="dgd2p", counting_mode="paper_faithful", p=0.1,
-              step_decay=0.5, heterogeneous_x0=True, seed=4, rounds=3))
+              step_decay=0.5, heterogeneous_x0=True, x0_scale=0.25, seed=4, rounds=3))
 def test_run_matches_per_agent_replay(cfg):
     topology = build_topology(cfg["kind"], cfg["n"], seed=cfg["topology_seed"],
                               prob=cfg["prob"])
@@ -178,7 +181,7 @@ def test_run_matches_per_agent_replay(cfg):
     def run_in(mode):
         return run(cfg["algorithm"], topology, spec, schedule, StopRule("rounds", cfg["rounds"]),
                    seed=cfg["seed"], p=cfg["p"], counting_mode=mode,
-                   heterogeneous_x0=cfg["heterogeneous_x0"])
+                   x0_scale=cfg["x0_scale"], heterogeneous_x0=cfg["heterogeneous_x0"])
 
     got = run_in(cfg["counting_mode"])
     ref, ms = replay(cfg, topology, spec, schedule)

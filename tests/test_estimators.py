@@ -64,6 +64,24 @@ def test_sample_sphere_d1():
     assert draws <= {1.0, -1.0} and len(draws) == 2
 
 
+def test_sphere_redraws_zero_rows():
+    # A generator whose first draw has an all-zero row: only that row is
+    # drawn again, and every row comes back unit.
+    class Stub:
+        def __init__(self, draws):
+            self.draws = list(draws)
+            self.shapes = []
+
+        def standard_normal(self, shape):
+            self.shapes.append(shape)
+            return np.array(self.draws.pop(0), dtype=float)
+
+    rng = Stub([[[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]], [[0.0, 0.0]], [[-5.0, 12.0]]])
+    z = sphere(rng, 3, 2)
+    assert rng.shapes == [(3, 2), (1, 2), (1, 2)]
+    np.testing.assert_array_equal(z, [[0.6, 0.8], [-5 / 13, 12 / 13], [0.0, -1.0]])
+
+
 def test_sample_sphere_moments():
     rng = np.random.default_rng(7)
     n = 100_000

@@ -197,6 +197,7 @@ def with_values(text, values):
     ({("topology", "kind"): "erdos_renyi"}, "erdos_renyi needs prob in (0, 1]"),
     ({("topology", "prob"): "1.5"}, "only erdos_renyi takes a prob, got 1.5 for ring"),
     ({("objective", "dim"): "0"}, "objective dim must be at least 1"),
+    ({("objective", "kind"): "cubic"}, "unknown objective kind 'cubic'"),
     ({("run", "x0_scale"): "nan"}, "x0_scale must be finite"),
     ({("run", "x0_scale"): "inf"}, "x0_scale must be finite"),
     ({("run", "seed"): "-1"}, "seed must be nonnegative"),
@@ -204,8 +205,8 @@ def with_values(text, values):
     ({("topology", "seed"): "-1"}, "topology_seed must be nonnegative"),
 ], ids=["u0_negative", "u0_inf", "step_size_negative", "step_size_nan", "u_decay_above_one",
         "step_decay_negative", "one_agent", "erdos_renyi_without_prob", "prob_on_ring",
-        "dim_zero", "x0_scale_nan", "x0_scale_inf", "seed_negative", "objective_seed_negative",
-        "topology_seed_negative_on_ring"])
+        "dim_zero", "objective_kind_unknown", "x0_scale_nan", "x0_scale_inf", "seed_negative",
+        "objective_seed_negative", "topology_seed_negative_on_ring"])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, values, error):
     # Each value used to load and fail only once the run built the schedule,
     # topology or objective, or (x0_scale, a ring's topology seed or prob) not

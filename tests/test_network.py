@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ def test_disconnected_rejected():
         Topology(n_agents=4, edges=frozenset({(0, 1), (2, 3)}))
     with pytest.raises(ValueError):
         Topology(n_agents=0, edges=frozenset())
+    for edge in ((1, 0), (1, 1), (0, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"bad edge {edge} for n=3")):
+            Topology(n_agents=3, edges=frozenset({(0, 1), (1, 2), edge}))
 
 
 def test_bad_kind_and_sizes():
@@ -100,6 +104,8 @@ def test_bad_kind_and_sizes():
         build_topology("erdos_renyi", 5, prob=0.0)
     with pytest.raises(ValueError, match="only erdos_renyi takes a prob"):
         build_topology("grid", 4, prob=0.5)
+    with pytest.raises(DisconnectedGraphError, match="no connected Erdos-Renyi sample in 100"):
+        build_topology("erdos_renyi", 50, prob=0.001)
 
 
 def test_metropolis_path3():
@@ -209,29 +215,36 @@ def test_apply_matches_dense_product(name):
 
 
 def test_mix_shape_mismatch():
-    # Both products: ring(4) mixes dense, path(200) through the neighbour list.
-    for kind, n in (("ring", 4), ("path", 200)):
+    # One check, one error, through apply and through mix, for both
+    # products: ring(4) and ring(10) mix dense, path(200) and ring(100)
+    # through the neighbour list.
+    assert mix is MixingMatrix.apply
+    for kind, n in (("ring", 4), ("ring", 10), ("path", 200), ("ring", 100)):
         w = metropolis_weights(build_topology(kind, n))
-        for bad in (np.zeros((n - 1, 2)), np.zeros(n), np.zeros((n, 2, 1))):
-            with pytest.raises(ValueError):
-                mix(w, bad)
+        assert (w._neighbours is not None) == (n >= 100)
+        for shape in ((n + 1, 3), (n + 5, 3), (n - 1, 2), (n,), (n, 2, 1)):
+            want = re.escape(f"stacked state must be ({n}, d), got shape {shape}")
+            for product in (w.apply, lambda x: mix(w, x)):
+                with pytest.raises(ValueError, match=want):
+                    product(np.ones(shape))
 
 
 def test_weights_are_built_once_per_topology(monkeypatch):
+    # Topology._metropolis is the only caller of the MixingMatrix
+    # constructor in dzo.network, so counting constructions counts builds.
     built = []
-    build = network._build_metropolis
 
-    def counted(t):
-        built.append(t)
-        return build(t)
+    def counted(w):
+        built.append(MixingMatrix(w=w))
+        return built[-1]
 
-    monkeypatch.setattr(network, "_build_metropolis", counted)
+    monkeypatch.setattr(network, "MixingMatrix", counted)
     t = build_topology("ring", 6)
     w = metropolis_weights(t)
     assert metropolis_weights(t) is w
     run("vrgt", t, make_benchmark(6, 3, seed=0), Schedule(step_size=0.05),
         StopRule("rounds", 3), seed=0)
-    assert built == [t]
+    assert built == [w]
     # An equal but distinct topology gets its own, equal, matrix.
     twin = build_topology("ring", 6)
     assert metropolis_weights(twin) is not w
@@ -240,10 +253,15 @@ def test_weights_are_built_once_per_topology(monkeypatch):
 
 
 def test_mixing_matrix_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        MixingMatrix(np.array([[0.9, 0.0], [0.0, 0.9]]))  # not stochastic
-    with pytest.raises(ValueError):
-        MixingMatrix(np.array([[0.5, 0.5], [0.6, 0.4]]))  # not symmetric
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        MixingMatrix(np.array([[0.9, 0.0], [0.0, 0.9]]))
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        MixingMatrix(np.array([[0.5, 0.5], [0.6, 0.4]]))  # nor symmetric
+    with pytest.raises(ValueError, match="non-finite"):
+        MixingMatrix(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+    # A 3-cycle permutation is doubly stochastic but not symmetric.
+    with pytest.raises(ValueError, match="not symmetric"):
+        MixingMatrix(np.roll(np.eye(3), 1, axis=1))
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 9), ("path", 7), ("complete", 6),

@@ -259,6 +259,12 @@ def test_smoothness_linear_tiny():
     assert estimate_smoothness(make_linear(2, 3, seed=1)) <= 1.5e-9
 
 
+def test_smoothness_frozen():
+    # The worst sampled gradient ratio times the safety factor 1.5.
+    lhat = estimate_smoothness(make_benchmark(50, 64, seed=42))
+    assert lhat == pytest.approx(4.488714689863427, rel=1e-12)
+
+
 def test_smoothness_reproducible():
     spec = make_benchmark(4, 64, seed=42)
     a = estimate_smoothness(spec)

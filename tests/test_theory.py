@@ -23,6 +23,15 @@ def test_inputs_validation():
         step_size_limit(sigma=0.5, d=2, p=0.5, L=1.0)
     with pytest.raises(ValueError, match="L must"):
         step_size_limit(sigma=0.5, d=4, p=0.5, L=0.0)
+    with pytest.raises(ValueError, match="L must"):
+        step_size_limit_inv_dim(sigma=0.5, d=4, L=-1.0)
+    with pytest.raises(ValueError, match="alpha_l must"):
+        contraction_matrix(sigma=0.5, d=4, alpha_l=-1e-3)
+    # contraction_step_limit checks sigma and d like its siblings.
+    with pytest.raises(ValueError, match="sigma"):
+        contraction_step_limit(sigma=1.5, d=10)
+    with pytest.raises(ValueError, match="dimension"):
+        contraction_step_limit(sigma=0.5, d=1)
 
 
 def test_step_limit_frozen_value():
@@ -73,6 +82,51 @@ def test_inv_dim_limit():
     a = step_size_limit_inv_dim(0.9, 64, 1.0)
     b = step_size_limit_inv_dim(0.9, 256, 1.0)
     assert b / a == pytest.approx(1.0 / 8.0, rel=1e-12)  # d^{-3/2} term binds
+
+
+def test_inv_dim_limit_terms():
+    # Each term pinned where it binds: the middle one at small sigma, the
+    # (1-sigma^2)^3 / (264 sqrt(29) d^{3/2}) one elsewhere.
+    t2 = np.sqrt(3.0) / (12.0 * np.sqrt(10.0)) * (np.sqrt(1.0 + 0.0025 / 9.0) - 1.0)
+    assert step_size_limit_inv_dim(0.05, 10, 2.0) == pytest.approx(t2 / 2.0, rel=1e-12)
+    t3 = 0.75**3 / (264.0 * SQRT29 * 27.0)
+    assert step_size_limit_inv_dim(0.5, 9, 1.0) == pytest.approx(t3, rel=1e-14)
+    t3 = 0.19**3 / (264.0 * SQRT29 * 512.0)
+    assert step_size_limit_inv_dim(0.9, 64, 4.0) == pytest.approx(t3 / 4.0, rel=1e-14)
+    # The first term, 1/(6 sqrt(d)), never binds: the middle one stays below
+    # (sqrt(3)/2)(sqrt(3/2) - 1) < 0.2 of it for sigma < 1 and d >= 3.
+    for sigma in (0.05, 0.5, 0.99):
+        for d in (3, 4, 64):
+            assert step_size_limit_inv_dim(sigma, d, 1.0) < 0.2 / (6.0 * np.sqrt(d))
+
+
+# (sigma, d, alpha_l): the matrix entries in closed form, and the
+# certificate's weighted norm with pi = [(1-sigma^2)/d, 3, 1].  At the two
+# small levels the middle row sets the norm, so the weight 3 shows in it.
+CONTRACTION_POINTS = {
+    (0.0, 4, 1e-4): (
+        [[1 / 3, 0.0, 1.8e-3 * SQRT29],
+         [3.4e-3 + 1 / 3, 0.75, 1.8e-3 * SQRT29],
+         [1.8e-3 * SQRT29, 6e-4 * SQRT29, 2 / 3]],
+        (3.4e-3 + 1 / 3) / 12 + 0.75 + 6e-4 * SQRT29),
+    (0.5, 9, 1e-5): (
+        [[0.5, 0.0, 3.6e-4 * SQRT29],
+         [5.1e-4 + 0.5, 11 / 12, 3.6e-4 * SQRT29],
+         [3.6e-4 * SQRT29, 1.2e-4 * SQRT29, 0.75]],
+        (5.1e-4 + 0.5) / 36 + 11 / 12 + 1.2e-4 * SQRT29),
+    (0.5, 9, 2e-3): (
+        [[0.5, 0.0, 0.072 * SQRT29],
+         [0.602, 11 / 12, 0.072 * SQRT29],
+         [0.072 * SQRT29, 0.024 * SQRT29, 0.75]],
+        0.5 + 0.864 * SQRT29),
+}
+
+
+@pytest.mark.parametrize("point", sorted(CONTRACTION_POINTS))
+def test_contraction_matrix_and_certificate_pinned(point):
+    want, norm = CONTRACTION_POINTS[point]
+    np.testing.assert_allclose(contraction_matrix(*point), want, rtol=1e-13, atol=0.0)
+    assert certify_contraction(*point).weighted_norm == pytest.approx(norm, rel=1e-13)
 
 
 def test_contraction_matrix_structure():
