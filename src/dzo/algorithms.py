@@ -140,12 +140,13 @@ def compute_metrics(state: RunState) -> MetricsRow:
     xbar = state.x.mean(axis=0)
     grad = state.oracle.spec.global_grad(xbar)
     stat_gap = float(grad @ grad)
-    dx = (state.x - xbar).ravel()
-    consensus = float(dx @ dx) / n
+    # numpy's pairwise sums: BLAS ddot's bits depend on its thread count.
+    dx = state.x - xbar
+    consensus = float(np.square(dx, out=dx).sum()) / n
     tracking = None
     if state.s is not None:
-        ds = (state.s - grad).ravel()
-        tracking = float(ds @ ds) / n
+        ds = state.s - grad
+        tracking = float(np.square(ds, out=ds).sum()) / n
     return MetricsRow(k=state.k, m=state.oracle.total_queries,
                       stat_gap=stat_gap, consensus_err=consensus,
                       tracking_err=tracking)

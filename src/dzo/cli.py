@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -64,11 +65,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for sigma in _floats(args.sigma):
         for d in _ints(args.d):
             for p in _floats(args.p):
-                try:
+                with warnings.catch_warnings():   # sigma = 0 certifies no step at p = 1/d
+                    warnings.simplefilter("ignore")
+                    lim_inv = theory.step_size_limit_inv_dim(sigma, d, args.L)
+                try:    # sigma, d and L are checked above: only p can be out of range
                     lim = theory.step_size_limit(sigma, d, p, args.L)
                 except ValueError:
                     lim = float("nan")
-                lim_inv = theory.step_size_limit_inv_dim(sigma, d, args.L) if sigma > 0 else 0.0
                 alpha_l = args.alpha_l if args.alpha_l is not None \
                     else theory.contraction_step_limit(sigma, d)
                 cert = theory.certify_contraction(sigma, d, alpha_l)

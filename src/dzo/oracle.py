@@ -159,7 +159,7 @@ class Linear(ObjectiveSpec):
         return self.coef.mean(axis=0)
 
 
-def make_benchmark(n: int, d: int, seed: int = 0) -> Benchmark:
+def make_benchmark(n: int, d: int, seed: int) -> Benchmark:
     """Draw a benchmark instance: alpha, v ~ U[-1, 1], beta positive and
     normalized to mean 1, zeta rows ~ N(0, 1/d).  Deterministic given seed."""
     rng = np.random.default_rng(seed)
@@ -171,31 +171,21 @@ def make_benchmark(n: int, d: int, seed: int = 0) -> Benchmark:
     return Benchmark(n_agents=n, dim=d, alpha=alpha, beta=beta, v=v, zeta=zeta)
 
 
-def make_quadratic(n: int, d: int, quad: np.ndarray | None = None,
-                   shift: np.ndarray | None = None, seed: int | None = None) -> Quadratic:
-    """Quadratic instance; identity curvature and zero shift by default,
-    or random SPD matrices when a seed is given."""
-    if quad is None:
-        if seed is None:
-            quad = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        else:
-            rng = np.random.default_rng(seed)
-            a = rng.standard_normal((n, d, d))
-            quad = a @ a.transpose(0, 2, 1) / d + 0.5 * np.eye(d)
-    if shift is None:
-        shift = np.zeros((n, d))
-    return Quadratic(n_agents=n, dim=d, quad=quad, shift=shift)
+def make_quadratic(n: int, d: int, seed: int) -> Quadratic:
+    """Draw a quadratic instance: Q_i = A_i A_i^T / d + I/2 with A_i entries
+    ~ N(0, 1), so every Q_i is SPD, and zero shift.  Deterministic given seed."""
+    a = np.random.default_rng(seed).standard_normal((n, d, d))
+    quad = a @ a.transpose(0, 2, 1) / d + 0.5 * np.eye(d)
+    return Quadratic(n_agents=n, dim=d, quad=quad, shift=np.zeros((n, d)))
 
 
-def make_linear(n: int, d: int, coef: np.ndarray | None = None,
-                seed: int | None = None) -> Linear:
-    if coef is None:
-        rng = np.random.default_rng(0 if seed is None else seed)
-        coef = rng.standard_normal((n, d))
+def make_linear(n: int, d: int, seed: int) -> Linear:
+    """Draw a linear instance: coef entries ~ N(0, 1).  Deterministic given seed."""
+    coef = np.random.default_rng(seed).standard_normal((n, d))
     return Linear(n_agents=n, dim=d, coef=coef)
 
 
-# Each objective kind and its maker; every maker takes (n, d, seed=...).
+# Each objective kind and its maker; every maker takes exactly (n, d, seed).
 FAMILIES = {"benchmark": make_benchmark, "quadratic": make_quadratic, "linear": make_linear}
 
 

@@ -1,5 +1,6 @@
 """Reference functions that only tests call: uncounted per-agent values and
-gradients, a metrics CSV reader, and the decay-rate fit of criterion 10."""
+gradients, a diagonal quadratic built from explicit arrays, a metrics CSV
+reader, and the decay-rate fit of criterion 10."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from dzo.harness import CSV_HEADER
 from dzo.algorithms import MetricsRow
-from dzo.oracle import ObjectiveSpec
+from dzo.oracle import ObjectiveSpec, Quadratic
 
 
 def objective_value(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> float:
@@ -23,6 +24,14 @@ def analytic_grad(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> np.ndarray:
     """Closed-form gradient of f_i at x; never counted as a query."""
     pts = np.asarray(x, dtype=float).reshape(1, 1, spec.dim)
     return spec.grads(np.array([agent]), pts)[0, 0]
+
+
+def diagonal_quadratic(n: int, d: int, diag=1.0) -> Quadratic:
+    """0.5 x^T diag(diag) x for each of n agents, zero shift; the identity
+    quadratic by default."""
+    quad = np.eye(d) * np.asarray(diag, dtype=float)
+    return Quadratic(n_agents=n, dim=d, quad=np.broadcast_to(quad, (n, d, d)),
+                     shift=np.zeros((n, d)))
 
 
 def read_csv(path: str | Path) -> list[MetricsRow]:

@@ -14,14 +14,9 @@ from dzo.algorithms import (
     vrgt_step,
 )
 from dzo.network import MixingMatrix, build_topology, metropolis_weights
-from dzo.oracle import (
-    ZerothOrderOracle,
-    make_benchmark,
-    make_linear,
-    make_quadratic,
-)
+from dzo.oracle import Linear, ZerothOrderOracle, make_benchmark, make_quadratic
 from per_agent_reference import SnapshotState, snapshot_of, vr_ge
-from reference import analytic_grad
+from reference import analytic_grad, diagonal_quadratic
 
 
 def single_agent_weights():
@@ -64,7 +59,7 @@ def test_stop_rule_validation():
 
 def test_dgd2p_single_agent_linear():
     coef = np.array([[0.7, -1.2, 0.4]])
-    oracle = ZerothOrderOracle(make_linear(1, 3, coef=coef))
+    oracle = ZerothOrderOracle(Linear(n_agents=1, dim=3, coef=coef))
     w = single_agent_weights()
     sch = Schedule(step_size=0.05, u0=0.5)
     x0 = np.array([[1.0, 1.0, 1.0]])
@@ -92,7 +87,7 @@ def test_zero_step_size_reduces_to_mixing():
 
 def test_dgd2p_descends_on_quadratic():
     topo = build_topology("complete", 2)
-    rows = run("dgd2p", topo, make_quadratic(2, 2), Schedule(step_size=0.05, u0=1.0),
+    rows = run("dgd2p", topo, diagonal_quadratic(2, 2), Schedule(step_size=0.05, u0=1.0),
                StopRule("rounds", 100), seed=5)
     gaps = np.array([r.stat_gap for r in rows])
     assert gaps[-20:].mean() < gaps[:20].mean()
@@ -112,7 +107,7 @@ def test_gt2d_tracks_exact_mean_gradient_on_quadratic():
 
 
 def test_gt2d_single_agent_is_gradient_descent():
-    spec = make_quadratic(1, 2)
+    spec = diagonal_quadratic(1, 2)
     oracle = ZerothOrderOracle(spec)
     sch = Schedule(step_size=0.1)
     x0 = np.array([[2.0, -1.0]])
@@ -303,7 +298,7 @@ def test_counting_modes_agree_on_trajectory():
 
 def test_run_determinism_and_stop_rules():
     topo = build_topology("complete", 2)
-    spec = make_quadratic(2, 2)
+    spec = diagonal_quadratic(2, 2)
     sch = Schedule(step_size=0.1)
     a = run("vrgt", topo, spec, sch, StopRule("rounds", 50), seed=12, p=0.5)
     b = run("vrgt", topo, spec, sch, StopRule("rounds", 50), seed=12, p=0.5)

@@ -47,8 +47,16 @@ def test_verify_reports_out_of_range_p(capsys):
 
 def test_verify_rejects_bad_input_before_printing(capsys):
     # A rejected input prints nothing to stdout, not even the header.
+    # A bad --L or --alpha-l is rejected at every sigma, also at sigma = 0,
+    # where the p = 1/d limit is 0 whatever L is.
     for argv in (["--sigma", "0.5", "--d", "2", "--p", "0.5"],
-                 ["--sigma", "0.5,1.5", "--d", "16", "--p", "0.5"]):
+                 ["--sigma", "0.5,1.5", "--d", "16", "--p", "0.5"],
+                 ["--sigma", "0", "--d", "16", "--p", "0.5", "--L", "-1"],
+                 ["--sigma", "0", "--d", "16", "--p", "0.5", "--L", "inf"],
+                 ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--L", "nan"],
+                 ["--sigma", "0", "--d", "16", "--p", "0.5", "--alpha-l", "-1"],
+                 ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--alpha-l", "nan"],
+                 ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--alpha-l", "inf"]):
         assert main(["verify", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -4,22 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzo.estimators import SnapshotBlock, coord_pair, sphere, sweep, two_point, vr_estimate
-from dzo.oracle import (
-    ZerothOrderOracle,
-    estimate_smoothness,
-    make_benchmark,
-    make_linear,
-    make_quadratic,
-)
-from reference import analytic_grad
+from dzo.oracle import Linear, ZerothOrderOracle, estimate_smoothness, make_benchmark, make_linear
+from reference import analytic_grad, diagonal_quadratic
 
 ROW = np.array([0])   # single-agent oracles: one row, agent 0
 
 
-def quad_oracle(d, diag=None):
-    diag = np.ones(d) if diag is None else np.asarray(diag, dtype=float)
-    spec = make_quadratic(1, d, quad=np.diag(diag)[None])
-    return ZerothOrderOracle(spec)
+def quad_oracle(d, diag=1.0):
+    return ZerothOrderOracle(diagonal_quadratic(1, d, diag))
 
 
 def coordinate_estimate(oracle, x, u, l):
@@ -35,7 +27,7 @@ def vr(oracle, snap, x, u, l, counting_mode="paper_faithful"):
 
 
 def test_two_point_linear_exact():
-    oracle = ZerothOrderOracle(make_linear(1, 3, coef=[[1.0, 0.0, 0.0]]))
+    oracle = ZerothOrderOracle(Linear(n_agents=1, dim=3, coef=[[1.0, 0.0, 0.0]]))
     z = np.array([[1.0, 0.0, 0.0]])
     for u in (0.01, 0.5, 2.0):
         np.testing.assert_allclose(two_point(oracle, ROW, np.zeros((1, 3)), u, z),
@@ -102,7 +94,7 @@ def test_two_d_point_exact_on_quadratic_and_linear():
     assert oracle.total_queries == 2 * 5 * 2
 
     coef = np.array([[2.0, -1.0, 0.5]])
-    lin = ZerothOrderOracle(make_linear(1, 3, coef=coef))
+    lin = ZerothOrderOracle(Linear(n_agents=1, dim=3, coef=coef))
     np.testing.assert_allclose(sweep(lin, ROW, np.zeros((1, 3)), 0.7), coef, atol=1e-12)
 
 
@@ -125,7 +117,7 @@ def test_coordinate_examples():
     np.testing.assert_allclose(got, [0.0, 4 * -2.0, 0.0, 0.0], atol=1e-12)
     assert oracle.total_queries == 2
 
-    lin = ZerothOrderOracle(make_linear(1, 2, coef=[[1.0, 2.0]]))
+    lin = ZerothOrderOracle(Linear(n_agents=1, dim=2, coef=[[1.0, 2.0]]))
     np.testing.assert_allclose(coordinate_estimate(lin, np.zeros(2), 0.4, 1), [0.0, 4.0],
                                atol=1e-12)
     with pytest.raises(IndexError):
@@ -217,7 +209,7 @@ def test_vr_ge_modes_identical_values_different_cost():
 
 
 def test_refresh_semantics():
-    oracle = ZerothOrderOracle(make_quadratic(3, 3))
+    oracle = ZerothOrderOracle(diagonal_quadratic(3, 3))
     x0 = np.zeros((3, 3))
     snap = SnapshotBlock(oracle, x0, 0.5)
     before = oracle.total_queries
@@ -244,7 +236,7 @@ def test_two_point_unbiased_on_linear():
     # The sphere-smoothed gradient of a linear function is its true gradient.
     d, n = 6, 100_000
     coef = np.array([[1.5, -0.7, 0.2, 0.0, 2.0, -1.1]])
-    oracle = ZerothOrderOracle(make_linear(1, d, coef=coef))
+    oracle = ZerothOrderOracle(Linear(n_agents=1, dim=d, coef=coef))
     rng = np.random.default_rng(17)
     x = rng.standard_normal(d)
     u = 0.3

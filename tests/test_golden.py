@@ -29,6 +29,8 @@ Regenerate fixtures, only when a trajectory change is intended, with
 named it rewrites all of them.
 """
 
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dzo.harness import ExperimentConfig, rows_to_csv, run_config
+from dzo.harness import ExperimentConfig, config_to_text, rows_to_csv, run_config, suite_configs
 from reference import read_csv
 
 DATA = Path(__file__).parent / "data"
@@ -81,6 +83,38 @@ def test_golden_trajectory(name):
             assert a == b == [None] * len(b)
             continue
         np.testing.assert_allclose(a, b, rtol=RTOL, atol=ATOL, err_msg=f"{name} {column}")
+
+
+# Configs with N*d >= 10^4, where a BLAS sum over every agent's entries would
+# be split across threads: bignet's two, and fig3's d=300 vrgt cut to 5 rounds.
+THREAD_CASES = {
+    "bignet_dgd2p": CASES["bignet_dgd2p"],
+    "bignet_vrgt_paper_faithful": CASES["bignet_vrgt_paper_faithful"],
+    "fig3_vrgt_d300": replace(suite_configs("fig3", 3, 3000)[-1],
+                              stop_kind="rounds", stop_limit=5),
+}
+RUN_CONFIGS = ("import sys\n"
+               "from dzo.harness import load_config, rows_to_csv, run_config\n"
+               "for path in sys.argv[1:]:\n"
+               "    sys.stdout.write(rows_to_csv(run_config(load_config(path))))\n")
+
+
+def test_replay_does_not_depend_on_blas_threads(tmp_path):
+    # Each thread count needs a fresh interpreter: BLAS reads it at load.
+    paths = []
+    for name, cfg in THREAD_CASES.items():
+        paths.append(tmp_path / f"{name}.ini")
+        paths[-1].write_text(config_to_text(cfg))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", RUN_CONFIGS, *map(str, paths)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = proc.stdout
+    assert out["1"] == out["2"]
 
 
 if __name__ == "__main__":

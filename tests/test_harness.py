@@ -28,8 +28,8 @@ from dzo.harness import (
 )
 from dzo.estimators import COUNTING_MODES
 from dzo.network import DisconnectedGraphError, TopologyKind
-from dzo.oracle import FAMILIES, ZerothOrderOracle, make_benchmark, make_quadratic
-from reference import fit_decay_rate, read_csv
+from dzo.oracle import FAMILIES, ZerothOrderOracle, make_benchmark
+from reference import diagonal_quadratic, fit_decay_rate, read_csv
 
 
 def tiny_config(**overrides):
@@ -44,13 +44,13 @@ def tiny_config(**overrides):
 
 
 def make_state(x, s=None, spec=None):
-    spec = spec or make_quadratic(x.shape[0], x.shape[1])
+    spec = spec or diagonal_quadratic(x.shape[0], x.shape[1])
     return RunState(k=3, x=x, oracle=ZerothOrderOracle(spec),
                     rng=np.random.default_rng(0), s=s)
 
 
 def test_compute_metrics_consensus_and_stationarity():
-    spec = make_quadratic(2, 2)
+    spec = diagonal_quadratic(2, 2)
     state = make_state(np.array([[1.0, 0.0], [-1.0, 0.0]]), spec=spec)
     row = compute_metrics(state)
     assert row.consensus_err == pytest.approx(1.0, abs=1e-15)
@@ -59,14 +59,14 @@ def test_compute_metrics_consensus_and_stationarity():
 
 
 def test_compute_metrics_zero_at_shared_stationary_point():
-    spec = make_quadratic(3, 2)
+    spec = diagonal_quadratic(3, 2)
     state = make_state(np.zeros((3, 2)), spec=spec)
     row = compute_metrics(state)
     assert row.stat_gap == 0.0 and row.consensus_err == 0.0
 
 
 def test_compute_metrics_tracking_error():
-    spec = make_quadratic(2, 2)
+    spec = diagonal_quadratic(2, 2)
     x = np.tile([0.5, -1.0], (2, 1))
     state = make_state(x, s=x.copy(), spec=spec)
     # the quadratic's global gradient at xbar equals xbar, so s_i = xbar tracks

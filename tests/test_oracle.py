@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import fields, replace
 
@@ -5,15 +6,17 @@ import numpy as np
 import pytest
 
 from dzo.oracle import (
+    FAMILIES,
     Benchmark,
     Linear,
+    Quadratic,
     ZerothOrderOracle,
     estimate_smoothness,
     make_benchmark,
     make_linear,
     make_quadratic,
 )
-from reference import analytic_grad, objective_value
+from reference import analytic_grad, diagonal_quadratic, objective_value
 
 
 def central_difference(spec, agent, x, h=1e-5):
@@ -65,12 +68,12 @@ def test_benchmark_value_at_origin():
 
 
 def test_quadratic_and_linear_values():
-    quad = make_quadratic(1, 2)
+    quad = diagonal_quadratic(1, 2)
     oracle = ZerothOrderOracle(quad)
     assert oracle.evaluate_rows(np.array([0]), np.array([[[3.0, 4.0]]]))[0, 0] == 12.5
     assert oracle.query_count[0] == 1
 
-    lin = make_linear(1, 2, coef=[[1.0, -2.0]])
+    lin = Linear(n_agents=1, dim=2, coef=[[1.0, -2.0]])
     oracle = ZerothOrderOracle(lin)
     assert oracle.evaluate_rows(np.array([0]), np.array([[[2.0, 1.0]]]))[0, 0] == 0.0
 
@@ -136,7 +139,7 @@ def nearly_symmetric_quadratic():
     quad = make_quadratic(2, 3, seed=6).quad.copy()
     quad[0, 0, 1] += 1e-11
     shift = np.random.default_rng(7).standard_normal((2, 3))
-    return make_quadratic(2, 3, quad=quad, shift=shift)
+    return Quadratic(n_agents=2, dim=3, quad=quad, shift=shift)
 
 
 @pytest.mark.parametrize("points_per_row", [2, 6], ids=["pair", "sweep"])
@@ -174,7 +177,8 @@ def test_quadratic_row_lists(name):
     # Only every agent in order is read from the spec in place; any other
     # row list gathers.  An agent's values must not depend on which ran.
     rng = np.random.default_rng(10)
-    seeded = make_quadratic(5, 4, seed=3, shift=rng.standard_normal((5, 4)))
+    seeded = make_quadratic(5, 4, seed=3)
+    seeded = replace(seeded, shift=rng.standard_normal((5, 4)))
     for spec in (seeded, nearly_symmetric_quadratic()):
         n = spec.n_agents
         rows = ROW_LISTS[name](n)
@@ -195,8 +199,8 @@ def test_quadratic_row_lists(name):
 
 @pytest.mark.parametrize("maker", [
     lambda: make_benchmark(4, 3, seed=5),
-    lambda: make_quadratic(4, 3, seed=5,
-                           shift=np.random.default_rng(8).standard_normal((4, 3))),
+    lambda: replace(make_quadratic(4, 3, seed=5),
+                    shift=np.random.default_rng(8).standard_normal((4, 3))),
     nearly_symmetric_quadratic,
     lambda: make_linear(4, 3, seed=5),
 ], ids=["benchmark", "quadratic", "quadratic_asymmetric", "linear"])
@@ -209,7 +213,7 @@ def test_global_grad_is_mean(maker):
 
 
 def test_quadratic_gradient_identity():
-    spec = make_quadratic(1, 3)
+    spec = diagonal_quadratic(1, 3)
     x = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(analytic_grad(spec, 0, x), x)
 
@@ -250,7 +254,7 @@ def test_evaluate_rows_rejects_bad_input():
 
 
 def test_smoothness_quadratic_bracketed():
-    spec = make_quadratic(1, 4, quad=2.0 * np.eye(4)[None])
+    spec = diagonal_quadratic(1, 4, diag=2.0)
     lhat = estimate_smoothness(spec)
     assert 2.0 <= lhat <= 3.0
 
@@ -277,16 +281,16 @@ def test_spec_validation():
         Benchmark(n_agents=2, dim=1, alpha=[0.0, 0.0], beta=[1.0, 1.5], v=[0.0, 0.0],
                   zeta=[[0.0], [0.0]])  # beta mean != 1
     with pytest.raises(ValueError):
-        make_quadratic(1, 2, quad=np.array([[[1.0, 2.0], [0.0, 1.0]]]))  # asymmetric
+        Quadratic(n_agents=1, dim=2, quad=[[[1.0, 2.0], [0.0, 1.0]]], shift=[[0.0, 0.0]])  # asymmetric
     # The first offending agent is named, whichever check it fails.
     quad = np.stack([np.eye(2)] * 4)
     quad[2, 0, 1] = 1e-9
     quad[3] = -np.eye(2)
     with pytest.raises(ValueError, match=r"^quad\[2\] is not symmetric$"):
-        make_quadratic(4, 2, quad=quad)
+        Quadratic(n_agents=4, dim=2, quad=quad, shift=np.zeros((4, 2)))
     quad[1] = np.diag([1.0, -1e-9])
     with pytest.raises(ValueError, match=r"^quad\[1\] is not PSD$"):
-        make_quadratic(4, 2, quad=quad)
+        Quadratic(n_agents=4, dim=2, quad=quad, shift=np.zeros((4, 2)))
 
 
 def test_each_family_takes_only_its_own_fields():
@@ -302,6 +306,35 @@ def test_each_family_takes_only_its_own_fields():
             type(spec)(**own, kind=spec.kind)
     with pytest.raises(TypeError):
         Linear(n_agents=1, dim=2, coef=[[1, 2]], zeta=[[math.nan]], quad="garbage")
+
+
+# (first entry, last entry, sum) of each array that FAMILIES[kind](3, 4, seed=5)
+# draws, frozen so that a changed draw moves every config built on it.
+FROZEN_DRAWS = {
+    "benchmark": {"alpha": (0.6100058474907604, 0.030651122084284, 1.2565385490480319),
+                  "beta": (1.361004394734393, 0.8221064215083558, 3.0),
+                  "v": (-0.4283972398237168, -0.23326223842896354, -1.5537980734893675),
+                  "zeta": (0.8173915214792887, -0.3566566858161218, -1.6454024094139281)},
+    "quadratic": {"quad": (1.1588696134129925, 1.7926572701983952, 19.018767204740733),
+                  "shift": (0.0, 0.0, 0.0)},
+    "linear": {"coef": (-0.8019314252534474, -1.2333286640307717, -0.6229126234732603)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_makers_take_a_seed_and_draw_frozen_values(kind):
+    # A maker is the seeded path only: explicit arrays go through the family type.
+    make = FAMILIES[kind]
+    params = inspect.signature(make).parameters.values()
+    assert [(q.name, q.default) for q in params] == [
+        ("n", inspect.Parameter.empty), ("d", inspect.Parameter.empty),
+        ("seed", inspect.Parameter.empty)]
+    spec = make(3, 4, seed=5)
+    assert spec.kind == kind
+    assert FROZEN_DRAWS[kind].keys() == {f.name for f in fields(spec)} - {"n_agents", "dim"}
+    for name, want in FROZEN_DRAWS[kind].items():
+        a = np.ravel(getattr(spec, name))
+        assert (a[0], a[-1], a.sum()) == pytest.approx(want, rel=1e-15, abs=0.0), name
 
 
 def _with(arr, index, value):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,17 @@ def test_inputs_validation():
         step_size_limit_inv_dim(sigma=0.5, d=4, L=-1.0)
     with pytest.raises(ValueError, match="alpha_l must"):
         contraction_matrix(sigma=0.5, d=4, alpha_l=-1e-3)
+    # L must be finite and alpha_l finite: NaN and inf used to give a NaN
+    # or zero result instead of an error.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="L must"):
+            step_size_limit(sigma=0.5, d=16, p=0.5, L=bad)
+        with pytest.raises(ValueError, match="L must"):
+            step_size_limit_inv_dim(sigma=0.5, d=16, L=bad)
+        with pytest.raises(ValueError, match="L must"):
+            estimator_variance_limit(16, bad, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="alpha_l must"):
+            contraction_matrix(sigma=0.5, d=16, alpha_l=bad)
     # contraction_step_limit checks sigma and d like its siblings.
     with pytest.raises(ValueError, match="sigma"):
         contraction_step_limit(sigma=1.5, d=10)
