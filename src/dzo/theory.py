@@ -143,8 +143,9 @@ def estimator_variance_limit(d: int, L: float, dist_x_y: float, dist_snap_y: flo
     + (7/2) u_tilde^2 L^2 d^2, valid for any reference point y when the
     iterate radius does not exceed the snapshot radius."""
     _check_l(L)
-    if d <= 0 or min(dist_x_y, dist_snap_y, u_tilde) < 0:
-        raise ValueError("d must be positive and the distances nonnegative")
+    dists = (dist_x_y, dist_snap_y, u_tilde)
+    if not (0 < d < np.inf and all(0.0 <= v < np.inf for v in dists)):
+        raise ValueError("d must be positive and the distances nonnegative, all finite")
     return (12.0 * d * L**2 * dist_x_y**2
             + 12.0 * d * L**2 * dist_snap_y**2
             + 3.5 * u_tilde**2 * L**2 * d**2)

@@ -73,6 +73,10 @@ MUTANTS = (
            "if x.ndim != 2 or x.shape[0] != self.n_agents:", "if x.ndim != 2:"),
     Mutant("coord_pair without its range check", EST,
            "if l.size and (l.min() < 0 or l.max() >= x.shape[1]):", "if False:"),
+    Mutant("stencil block not refilled", EST, "pts[:k] = x[b, None, :]",
+           "pts[:k] = x[b, None, :] if lo == 0 else pts[:k]"),
+    Mutant("stencil block one row long", EST, "b = slice(lo, lo + k)",
+           "b = slice(lo, lo + k + 1)"),
     Mutant("contraction matrix 17 sqrt(d) alpha_l as 16", THEORY,
            "[17.0 * np.sqrt(d) * alpha_l + mix2,", "[16.0 * np.sqrt(d) * alpha_l + mix2,"),
     Mutant("certificate weight 3 as 2.9", THEORY,
@@ -84,6 +88,9 @@ MUTANTS = (
            '(1-sigma^2)^3 / (12 sqrt(29) d^{5/2})."""\n    _check(sigma, d)\n',
            '(1-sigma^2)^3 / (12 sqrt(29) d^{5/2})."""\n'),
     Mutant("L check without finiteness", THEORY, "if not 0.0 < L < np.inf:", "if L <= 0.0:"),
+    Mutant("variance limit check without finiteness", THEORY,
+           "if not (0 < d < np.inf and all(0.0 <= v < np.inf for v in dists)):",
+           "if d <= 0 or min(dists) < 0:"),
     Mutant("smoothness safety factor 1.5 as 1.4", ORACLE,
            "return 1.5 * worst", "return 1.4 * worst"),
     Mutant("quadratic draw with I/2 as 0.4 I", ORACLE,

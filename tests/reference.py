@@ -1,6 +1,7 @@
 """Reference functions that only tests call: uncounted per-agent values and
-gradients, a diagonal quadratic built from explicit arrays, a metrics CSV
-reader, and the decay-rate fit of criterion 10."""
+gradients, a diagonal quadratic built from explicit arrays, the unblocked
+coordinate stencil, a metrics CSV reader, and the decay-rate fit of
+criterion 10."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from dzo.harness import CSV_HEADER
 from dzo.algorithms import MetricsRow
-from dzo.oracle import ObjectiveSpec, Quadratic
+from dzo.oracle import ObjectiveSpec, Quadratic, ZerothOrderOracle
 
 
 def objective_value(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> float:
@@ -32,6 +33,22 @@ def diagonal_quadratic(n: int, d: int, diag=1.0) -> Quadratic:
     quad = np.eye(d) * np.asarray(diag, dtype=float)
     return Quadratic(n_agents=n, dim=d, quad=np.broadcast_to(quad, (n, d, d)),
                      shift=np.zeros((n, d)))
+
+
+def unblocked_stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
+                      coords: np.ndarray) -> np.ndarray:
+    """The coordinate stencil with every point in one (n, 2m, d) tensor and
+    one oracle call; ``dzo.estimators._stencil`` builds the same points in
+    bounded blocks of rows and must return the same bits."""
+    (n, d), m = x.shape, coords.shape[1]
+    u = u[:, None] if isinstance(u, np.ndarray) else u
+    pts = np.repeat(x[:, None, :], 2 * m, axis=1)
+    at = coords + np.arange(0, n * 2 * m * d, 2 * m * d)[:, None] + np.arange(0, m * d, d)
+    flat = pts.reshape(-1)
+    flat[at] += u
+    flat[at + m * d] -= u
+    vals = oracle.evaluate_rows(rows, pts)
+    return (vals[:, :m] - vals[:, m:]) / (2.0 * u)
 
 
 def read_csv(path: str | Path) -> list[MetricsRow]:

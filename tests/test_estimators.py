@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzo.estimators import SnapshotBlock, coord_pair, sphere, sweep, two_point, vr_estimate
-from dzo.oracle import Linear, ZerothOrderOracle, estimate_smoothness, make_benchmark, make_linear
-from reference import analytic_grad, diagonal_quadratic
+from dzo.oracle import (FAMILIES, Linear, ZerothOrderOracle, estimate_smoothness,
+                        make_benchmark, make_linear)
+from reference import analytic_grad, diagonal_quadratic, unblocked_stencil
 
 ROW = np.array([0])   # single-agent oracles: one row, agent 0
 
@@ -292,3 +295,64 @@ def test_coordinate_sweep_identity_property(d, seed, u):
     avg = np.mean([coordinate_estimate(oracle, x, u, l) for l in range(d)], axis=0)
     full = sweep(oracle, ROW, x[None], u)[0]
     assert np.max(np.abs(avg - full)) <= 1e-12 * max(1.0, np.abs(full).max())
+
+
+# (n, d) and the oracle calls a blocked sweep and a blocked coordinate pair
+# make there, with 2 MiB blocks: a sweep row is 16 d^2 bytes of points, a
+# pair row 16 d.
+BLOCKINGS = [((5, 300), 5, 1), ((50, 64), 2, 1), ((1000, 16), 2, 1)]
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("shape, sweep_calls, pair_calls", BLOCKINGS)
+def test_blocked_stencil_matches_unblocked_bit_for_bit(kind, shape, sweep_calls, pair_calls):
+    n, d = shape
+    spec = FAMILIES[kind](n, d, seed=4)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((n, d))
+    l = rng.integers(0, d, n)
+    per_row_u = rng.uniform(0.01, 0.5, n)
+    # A sweep shares its coordinates across rows and takes one radius; a
+    # coordinate pair takes a coordinate per row and one radius or one per row.
+    for rows in (np.arange(n), rng.integers(0, n, n)):
+        for shared, u in ((True, 0.1), (False, 0.1), (False, per_row_u)):
+            blocked, whole = ZerothOrderOracle(spec), ZerothOrderOracle(spec)
+            seen = []
+            evaluate = blocked.evaluate_rows
+            blocked.evaluate_rows = lambda r, p: seen.append(len(r)) or evaluate(r, p)
+            if shared:
+                got = sweep(blocked, rows, x, u)
+                want = unblocked_stencil(whole, rows, x, u, np.arange(d)[None])
+            else:
+                got = coord_pair(blocked, rows, x, u, l)
+                want = unblocked_stencil(whole, rows, x, u, l[:, None])[:, 0]
+            assert got.tobytes() == want.tobytes()
+            assert len(seen) == (sweep_calls if shared else pair_calls) and sum(seen) == n
+            expected = np.bincount(rows, minlength=n) * (2 * d if shared else 2)
+            np.testing.assert_array_equal(blocked.query_count, expected)
+            np.testing.assert_array_equal(whole.query_count, expected)
+
+
+def test_stencil_rejects_rows_that_do_not_match_the_points():
+    # A longer rows would otherwise be cut to the points' length silently.
+    oracle = ZerothOrderOracle(make_linear(4, 4, seed=0))
+    for rows in (np.arange(2), np.arange(4)):
+        with pytest.raises(ValueError, match="rows for"):
+            sweep(oracle, rows, np.zeros((3, 4)), 0.1)
+    assert oracle.total_queries == 0
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_all_agent_sweep_memory_is_bounded(kind):
+    # The unblocked (50, 600, 300) point tensor alone is 72 MB; the blocked
+    # sweep peaked at 1.9 (benchmark and linear) and 5.1 MiB (quadratic).
+    n, d = 50, 300
+    oracle = ZerothOrderOracle(FAMILIES[kind](n, d, seed=0))
+    x = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        sweep(oracle, np.arange(n), x, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"{kind} sweep peaked at {peak / 2**20:.1f} MiB"

@@ -210,3 +210,10 @@ def test_variance_limit_values():
     assert estimator_variance_limit(4, 2.0, 0.0, 0.0, 0.5) == 56.0
     with pytest.raises(ValueError):
         estimator_variance_limit(4, 2.0, -1.0, 0.0, 0.5)
+    # NaN compares false, so a sign check alone let NaN d or distances and
+    # an infinite distance through to a NaN or inf envelope.
+    for bad in ((16, 1.0, math.nan, 1.0, 0.1), (math.nan, 1.0, 1.0, 1.0, 0.1),
+                (16, 1.0, 1.0, math.inf, 0.1), (16, 1.0, 1.0, 1.0, math.nan),
+                (math.inf, 1.0, 1.0, 1.0, 0.1)):
+        with pytest.raises(ValueError, match="distances nonnegative, all finite"):
+            estimator_variance_limit(*bad)
