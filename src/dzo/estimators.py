@@ -4,11 +4,11 @@ Each estimator takes one point per row, ``x`` of shape (n, d), row i
 belonging to agent ``rows[i]`` (agent i where no ``rows`` is taken), and
 charges the oracle through ``ZerothOrderOracle.evaluate_rows``: 2 queries
 per row for ``two_point`` and ``coord_pair``, 2d for ``sweep``.  Sweeps and
-coordinate pairs share one ±u·e_l stencil, so its query charge is decided
-in one place.  The stencil builds its points in one reused buffer of at
-most 2 MiB (or one row, if larger) and queries them a block of rows at a
-time, so a sweep's memory does not grow with n; every row's values are
-those of one unblocked call.
+coordinate pairs share one ±u·e_l stencil: one ``Stencil`` passed to the
+oracle, which charges it like the points it stands for and evaluates it
+through the objective's rank-1 structure, so no sweep builds its (n, 2d, d)
+points.  ``two_point`` builds its 2 points per row: at that size the dense
+form, with 2 row dot products against 5, is the faster one.
 
 ``vr_estimate`` corrects the cached sweep at a frozen snapshot point (a
 ``SnapshotBlock`` row) on one coordinate; it is conditionally unbiased for
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ZerothOrderOracle
+from .oracle import Stencil, ZerothOrderOracle
 
 COUNTING_MODES = ("paper_faithful", "cached")
 
@@ -55,43 +55,16 @@ def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: flo
     return d * ((vals[:, 0] - vals[:, 1]) / (2.0 * u))[:, None] * z
 
 
-# Bytes of stencil points built and queried at once.  A sweep's whole
-# (n, 2d, d) tensor is 72 MB at n=50, d=300.  A benchmark-family sweep there
-# took a median 13 ms with one reused buffer of 1-2 MiB, 17 ms at 4-8 MiB
-# and 41 ms unblocked (2-core Xeon host, numpy 2.4, BLAS on one thread).
-_BLOCK_BYTES = 1 << 21
-
-
 def _stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
              coords: np.ndarray) -> np.ndarray:
     """Central differences at row i along each coordinate in coords[i].
 
     coords is (n, m), or (1, m) shared by every row.  u is a scalar or one
-    radius per row.  Returns the (n, m) quotients.  The points are built
-    one block of rows at a time in one buffer of at most _BLOCK_BYTES (or
-    one row), which each block refills before it goes to the oracle.
+    radius per row.  Returns the (n, m) quotients.
     """
-    (n, d), m = x.shape, coords.shape[1]
-    if len(rows) != n:
-        raise ValueError(f"{len(rows)} rows for {n} points")
-    u = u[:, None] if isinstance(u, np.ndarray) else u
-    # Flat offsets of (i, j, coords[i, j]) index faster than three index arrays.
-    at = coords + np.arange(0, n * 2 * m * d, 2 * m * d)[:, None] + np.arange(0, m * d, d)
-    step = max(1, _BLOCK_BYTES // (16 * m * d))
-    pts = np.empty((min(n, step), 2 * m, d))
-    flat = pts.reshape(-1)
-    diff = np.empty((n, m))
-    for lo in range(0, n, step):
-        k = min(step, n - lo)
-        b = slice(lo, lo + k)
-        pts[:k] = x[b, None, :]
-        offsets = at[b] - lo * 2 * m * d
-        u_b = u[b] if isinstance(u, np.ndarray) else u
-        flat[offsets] += u_b
-        flat[offsets + m * d] -= u_b
-        vals = oracle.evaluate_rows(rows[b], pts[:k])
-        np.subtract(vals[:, :m], vals[:, m:], out=diff[b])
-    return diff / (2.0 * u)
+    st, m = Stencil(x, u, coords), coords.shape[1]
+    vals = oracle.evaluate_rows(rows, st)
+    return (vals[:, :m] - vals[:, m:]) / (2.0 * st.u)
 
 
 def sweep(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray,
@@ -105,7 +78,8 @@ def coord_pair(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
     """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,).
 
     Raises IndexError before any query when a coordinate lies outside [0, d):
-    the stencil writes through flat offsets, so one would land in another row.
+    indexing would wrap a negative one, and the dense points would put it
+    in another row.
     """
     l = np.asarray(l)
     if l.size and (l.min() < 0 or l.max() >= x.shape[1]):

@@ -9,12 +9,12 @@ holds only its own arrays, with its maker in ``FAMILIES`` under its ``kind``:
 * ``Linear`` -- ``c . x`` (unbounded below; only useful for estimator tests).
 
 Each evaluates uncounted through ``values(agents, points)``, the (B, m)
-values of points[b, m, :] under agent agents[b]; ``grads(agents, points)``,
-their (B, m, d) analytic gradients; and ``global_grad(x)``, the gradient
-of f = (1/N) sum_i f_i in closed form (the mean of the per-agent gradients
-up to summation order), which the metrics read.  Algorithms may touch
-objectives only through :class:`ZerothOrderOracle`, which counts every
-function-value query per agent.
+values of points[b, m, :] under agent agents[b], or ``stencil_values`` at a
+:class:`Stencil`'s points; ``grads(agents, points)``, their (B, m, d) analytic
+gradients; and ``global_grad(x)``, the gradient of f = (1/N) sum_i f_i in
+closed form (the mean of the per-agent gradients up to summation order),
+which the metrics read.  Algorithms may touch objectives only through
+:class:`ZerothOrderOracle`, which counts every function-value query per agent.
 """
 
 from __future__ import annotations
@@ -32,6 +32,35 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     # tanh form of 1 / (1 + e^-t): an exact identity that saturates instead
     # of overflowing exp at large |t|.
     return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+class Stencil:
+    """The (B, 2m, d) points x[b] + u·e_l for l in coords[b], then x[b] - u·e_l,
+    with coords (B, m) or (1, m) and u a scalar or one radius per row.  Families
+    evaluate it through their rank-1 structure; ``np.asarray`` builds the points."""
+
+    def __init__(self, x: np.ndarray, u, coords: np.ndarray):
+        self.x, self.coords = x, coords
+        self.u = u[:, None] if isinstance(u, np.ndarray) else u   # broadcasts against (B, m)
+        self.shape = (x.shape[0], 2 * coords.shape[1], x.shape[1])
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """a[b, coords[b, j]] for a (B, d) array; (B, m)."""
+        return np.take(a, self.coords + np.arange(0, a.size, a.shape[1])[:, None])
+
+    def pm(self, base: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        """base + u·slope, then base - u·slope; (B, 2m)."""
+        step = self.u * slope
+        return np.concatenate([base + step, base - step], axis=1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        (n, two_m, d), m = self.shape, self.coords.shape[1]
+        pts = np.repeat(self.x[:, None, :], two_m, axis=1)
+        # Flat offsets of (b, j, coords[b, j]) index faster than three index arrays.
+        at = self.coords + np.arange(0, n * two_m * d, two_m * d)[:, None] + np.arange(0, m * d, d)
+        pts.reshape(-1)[at] += self.u
+        pts.reshape(-1)[at + m * d] -= self.u
+        return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +111,14 @@ class Benchmark(ObjectiveSpec):
         return self.alpha[agents][:, None] * _sigmoid(t) \
             + self.beta[agents][:, None] * np.log1p(sq)
 
+    def stencil_values(self, agents: np.ndarray, st: Stencil) -> np.ndarray:
+        # zeta.x + v ± u·zeta_l and |x|^2 + u^2 ± 2u·x_l.
+        z = self.zeta[agents]
+        t = (np.einsum("bd,bd->b", st.x, z) + self.v[agents])[:, None]
+        sq = np.einsum("bd,bd->b", st.x, st.x)[:, None] + st.u * st.u
+        return self.alpha[agents][:, None] * _sigmoid(st.pm(t, st.take(z))) \
+            + self.beta[agents][:, None] * np.log1p(st.pm(sq, 2.0 * st.take(st.x)))
+
     def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         z = self.zeta[agents]
         t = np.einsum("bmd,bd->bm", points, z) + self.v[agents][:, None]
@@ -120,15 +157,26 @@ class Quadratic(ObjectiveSpec):
         the network gradient at x is the first times x minus the second."""
         return self.quad.mean(axis=0), np.einsum("nij,nj->i", self.quad, self.shift) / self.n_agents
 
-    def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+    def _rows(self, agents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_agents
         if agents.shape[0] == n and np.array_equal(agents, np.arange(n)):
-            quad, shift = self.quad, self.shift     # every agent in order: no gather
-        else:
-            quad, shift = self.quad[agents], self.shift[agents]
+            return self.quad, self.shift            # every agent in order: no gather
+        return self.quad[agents], self.shift[agents]
+
+    def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+        quad, shift = self._rows(agents)
         diff = points - shift[:, None, :]
         # d^T Q d read as (d^T Q) . d, so matmul takes Q as stored, contiguous.
         return 0.5 * np.einsum("bmi,bmi->bm", diff, np.matmul(diff, quad))
+
+    def stencil_values(self, agents: np.ndarray, st: Stencil) -> np.ndarray:
+        # 1/2 d^T Q d ± u·(d^T Q)_l + 1/2 u^2·Q_ll with d = x - shift.
+        quad, shift = self._rows(agents)
+        diff = st.x - shift
+        dq = np.matmul(diff[:, None, :], quad)[:, 0]
+        base = 0.5 * np.einsum("bi,bi->b", diff, dq)[:, None]
+        curve = 0.5 * st.u * st.u * st.take(np.diagonal(quad, axis1=1, axis2=2))
+        return st.pm(base, st.take(dq)) + np.tile(curve, 2)
 
     def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         # The gradient is Q . diff itself, so it keeps that reading; no run calls it.
@@ -151,6 +199,10 @@ class Linear(ObjectiveSpec):
 
     def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.einsum("bmd,bd->bm", points, self.coef[agents])
+
+    def stencil_values(self, agents: np.ndarray, st: Stencil) -> np.ndarray:
+        c = self.coef[agents]
+        return st.pm(np.einsum("bd,bd->b", st.x, c)[:, None], st.take(c))
 
     def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.coef[agents][:, None, :], points.shape).copy()
@@ -204,27 +256,31 @@ class ZerothOrderOracle:
     def total_queries(self) -> int:
         return int(self.query_count.sum())
 
-    def evaluate_rows(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
+    def evaluate_rows(self, agents: np.ndarray, points) -> np.ndarray:
         """Batched queries: points[b, m, :] against agent agents[b]; (B, m).
 
-        Each of the m points charges one query to the owning agent.  Rows
-        that are not a 1-D integer array, or a row outside [0, N), raise
-        IndexError before any query is charged.
+        points is a (B, m, d) array or a :class:`Stencil`; each of its m points
+        charges one query to the owning agent.  Rows that are not a 1-D integer
+        array, or a row outside [0, N), raise IndexError before any query is charged.
         """
         agents = np.asarray(agents)
         if agents.ndim != 1 or (agents.size and agents.dtype.kind not in "iu"):
             raise IndexError(f"agent rows must be a 1-D integer array, got {agents.dtype} "
                              f"of shape {agents.shape}")
         agents = agents.astype(np.int64, copy=False)
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 3 or points.shape[0] != agents.shape[0] \
-                or points.shape[2] != self.spec.dim:
-            raise ValueError(f"points must be (B, m, {self.spec.dim}), got {points.shape}")
+        if isinstance(points, Stencil):
+            values = self.spec.stencil_values
+        else:
+            values, points = self.spec.values, np.asarray(points, dtype=float)
+        shape = points.shape
+        if len(shape) != 3 or shape[0] != agents.shape[0] or shape[2] != self.spec.dim:
+            raise ValueError(f"points must be (B, m, {self.spec.dim}) with B = "
+                             f"{agents.shape[0]} rows for the agents, got {shape}")
         if agents.size and agents.min() < 0:
             raise IndexError(f"agent rows must be in [0, {self.spec.n_agents}), "
                              f"got {agents.min()}")
-        np.add.at(self.query_count, agents, points.shape[1])
-        return self.spec.values(agents, points)
+        np.add.at(self.query_count, agents, shape[1])
+        return values(agents, points)
 
 
 def estimate_smoothness(spec: ObjectiveSpec) -> float:

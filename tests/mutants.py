@@ -73,10 +73,15 @@ MUTANTS = (
            "if x.ndim != 2 or x.shape[0] != self.n_agents:", "if x.ndim != 2:"),
     Mutant("coord_pair without its range check", EST,
            "if l.size and (l.min() < 0 or l.max() >= x.shape[1]):", "if False:"),
-    Mutant("stencil block not refilled", EST, "pts[:k] = x[b, None, :]",
-           "pts[:k] = x[b, None, :] if lo == 0 else pts[:k]"),
-    Mutant("stencil block one row long", EST, "b = slice(lo, lo + k)",
-           "b = slice(lo, lo + k + 1)"),
+    Mutant("benchmark stencil without its u^2 term", ORACLE,
+           "st.x)[:, None] + st.u * st.u", "st.x)[:, None]"),
+    Mutant("quadratic stencil with its linear term's sign swapped", ORACLE,
+           "st.pm(base, st.take(dq))", "st.pm(base, -st.take(dq))"),
+    Mutant("stencil reads row 0's coordinates for every row", ORACLE,
+           "np.take(a, self.coords + np.arange", "np.take(a, self.coords[:1] + np.arange"),
+    Mutant("stencil charged one query per coordinate", ORACLE,
+           "self.shape = (x.shape[0], 2 * coords.shape[1], x.shape[1])",
+           "self.shape = (x.shape[0], coords.shape[1], x.shape[1])"),
     Mutant("contraction matrix 17 sqrt(d) alpha_l as 16", THEORY,
            "[17.0 * np.sqrt(d) * alpha_l + mix2,", "[16.0 * np.sqrt(d) * alpha_l + mix2,"),
     Mutant("certificate weight 3 as 2.9", THEORY,

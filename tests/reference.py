@@ -1,6 +1,6 @@
 """Reference functions that only tests call: uncounted per-agent values and
-gradients, a diagonal quadratic built from explicit arrays, the unblocked
-coordinate stencil, a metrics CSV reader, and the decay-rate fit of
+gradients, a diagonal quadratic built from explicit arrays, the coordinate
+stencil on dense points, a metrics CSV reader, and the decay-rate fit of
 criterion 10."""
 
 from __future__ import annotations
@@ -35,20 +35,28 @@ def diagonal_quadratic(n: int, d: int, diag=1.0) -> Quadratic:
                      shift=np.zeros((n, d)))
 
 
+def stencil_points(x: np.ndarray, u, coords: np.ndarray) -> np.ndarray:
+    """The (n, 2m, d) points x[i] + u_i e_l for l in coords[i], then x[i] - u_i e_l,
+    written through explicit (row, slot, coordinate) indices; coords is
+    (n, m) or (1, m), u a scalar or one radius per row."""
+    (n, d), m = x.shape, coords.shape[1]
+    u = np.broadcast_to(np.reshape(u, (-1, 1)), (n, m))
+    row, slot = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    l = np.broadcast_to(coords, (n, m))
+    pts = np.repeat(x[:, None, :], 2 * m, axis=1)
+    pts[row, slot, l] += u
+    pts[row, m + slot, l] -= u
+    return pts
+
+
 def unblocked_stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
                       coords: np.ndarray) -> np.ndarray:
-    """The coordinate stencil with every point in one (n, 2m, d) tensor and
-    one oracle call; ``dzo.estimators._stencil`` builds the same points in
-    bounded blocks of rows and must return the same bits."""
-    (n, d), m = x.shape, coords.shape[1]
-    u = u[:, None] if isinstance(u, np.ndarray) else u
-    pts = np.repeat(x[:, None, :], 2 * m, axis=1)
-    at = coords + np.arange(0, n * 2 * m * d, 2 * m * d)[:, None] + np.arange(0, m * d, d)
-    flat = pts.reshape(-1)
-    flat[at] += u
-    flat[at + m * d] -= u
-    vals = oracle.evaluate_rows(rows, pts)
-    return (vals[:, :m] - vals[:, m:]) / (2.0 * u)
+    """The coordinate stencil's (n, m) quotients from the dense points of
+    ``stencil_points`` in one oracle call, the reference for the rank-1
+    evaluation of a ``dzo.oracle.Stencil``."""
+    m = coords.shape[1]
+    vals = oracle.evaluate_rows(rows, stencil_points(x, u, coords))
+    return (vals[:, :m] - vals[:, m:]) / (2.0 * np.reshape(u, (-1, 1)))
 
 
 def read_csv(path: str | Path) -> list[MetricsRow]:

@@ -14,7 +14,7 @@ from dzo.algorithms import (
     vrgt_step,
 )
 from dzo.network import MixingMatrix, build_topology, metropolis_weights
-from dzo.oracle import Linear, ZerothOrderOracle, make_benchmark, make_quadratic
+from dzo.oracle import Linear, Stencil, ZerothOrderOracle, make_benchmark, make_quadratic
 from per_agent_reference import SnapshotState, snapshot_of, vr_ge
 from reference import analytic_grad, diagonal_quadratic
 
@@ -214,10 +214,7 @@ def test_vrgt_p1_equals_fresh_sweep_tracking():
     for k in range(25):
         u_next = sch.smoothing_at(k + 1)
         x = w.w @ (x - sch.step_size_at(k) * s)
-        pts = np.repeat(x[:, None, :], 2 * d, axis=1)
-        pts[:, idx, idx] += u_next
-        pts[:, d + idx, idx] -= u_next
-        vals = oracle_ref.evaluate_rows(np.arange(n), pts)
+        vals = oracle_ref.evaluate_rows(np.arange(n), Stencil(x, u_next, idx[None]))
         g = (vals[:, :d] - vals[:, d:]) / (2.0 * u_next)
         s = w.w @ (s + g - g_prev)
         g_prev = g

@@ -10,6 +10,7 @@ from dzo.oracle import (
     Benchmark,
     Linear,
     Quadratic,
+    Stencil,
     ZerothOrderOracle,
     estimate_smoothness,
     make_benchmark,
@@ -250,6 +251,15 @@ def test_evaluate_rows_rejects_bad_input():
         with pytest.raises(IndexError, match="must be a 1-D integer array"):
             oracle.evaluate_rows(rows, np.zeros((len(rows), 1, 3)))
     assert oracle.evaluate_rows([], np.zeros((0, 1, 3))).shape == (0, 1)
+    # A stencil goes through the same checks.
+    for bad in (Stencil(np.zeros((3, 3)), 0.1, np.arange(3)[None]),   # 3 rows for 2 agents
+                Stencil(np.zeros((2, 2)), 0.1, np.arange(2)[None])):   # d = 2, not 3
+        with pytest.raises(ValueError, match="points must be"):
+            oracle.evaluate_rows(agents, bad)
+    for rows in ([5], [0, 3], [-1], [1.7], [[0]]):
+        with pytest.raises(IndexError):
+            oracle.evaluate_rows(rows, Stencil(np.zeros((len(rows), 3)), 0.1,
+                                               np.zeros((1, 1), dtype=int)))
     assert oracle.total_queries == 0
 
 
