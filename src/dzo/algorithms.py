@@ -250,6 +250,8 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if topology.n_agents != spec.n_agents:
         raise ValueError("topology and objective disagree on the number of agents")
+    if not np.isfinite(x0_scale):
+        raise ValueError(f"x0_scale must be finite, got {x0_scale}")
 
     w = metropolis_weights(topology)
     oracle = ZerothOrderOracle(spec)

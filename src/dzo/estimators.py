@@ -4,11 +4,11 @@ Each estimator takes one point per row, ``x`` of shape (n, d), row i
 belonging to agent ``rows[i]`` (agent i where no ``rows`` is taken), and
 charges the oracle through ``ZerothOrderOracle.evaluate_rows``: 2 queries
 per row for ``two_point`` and ``coord_pair``, 2d for ``sweep``.  Sweeps and
-coordinate pairs share one ±u·e_l stencil: one ``Stencil`` passed to the
-oracle, which charges it like the points it stands for and evaluates it
-through the objective's rank-1 structure, so no sweep builds its (n, 2d, d)
-points.  ``two_point`` builds its 2 points per row: at that size the dense
-form, with 2 row dot products against 5, is the faster one.
+coordinate pairs share one ±u·e_l stencil: one ``Stencil``, checked when it
+is built, passed to the oracle, which charges it like the points it stands
+for and evaluates it through the objective's rank-1 structure, so no sweep
+builds its (n, 2d, d) points.  ``two_point`` builds its 2 points per row: at
+that size the dense form, with 2 row dot products against 5, is the faster one.
 
 ``vr_estimate`` corrects the cached sweep at a frozen snapshot point (a
 ``SnapshotBlock`` row) on one coordinate; it is conditionally unbiased for
@@ -57,11 +57,7 @@ def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: flo
 
 def _stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
              coords: np.ndarray) -> np.ndarray:
-    """Central differences at row i along each coordinate in coords[i].
-
-    coords is (n, m), or (1, m) shared by every row.  u is a scalar or one
-    radius per row.  Returns the (n, m) quotients.
-    """
+    """The (n, m) central differences at row i along each coordinate in coords[i]."""
     st, m = Stencil(x, u, coords), coords.shape[1]
     vals = oracle.evaluate_rows(rows, st)
     return (vals[:, :m] - vals[:, m:]) / (2.0 * st.u)
@@ -75,16 +71,8 @@ def sweep(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray,
 
 def coord_pair(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
                l: np.ndarray) -> np.ndarray:
-    """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,).
-
-    Raises IndexError before any query when a coordinate lies outside [0, d):
-    indexing would wrap a negative one, and the dense points would put it
-    in another row.
-    """
-    l = np.asarray(l)
-    if l.size and (l.min() < 0 or l.max() >= x.shape[1]):
-        raise IndexError(f"coordinates must lie in [0, {x.shape[1]})")
-    return _stencil(oracle, rows, x, u, l[:, None])[:, 0]
+    """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,)."""
+    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[:, 0]
 
 
 class SnapshotBlock:

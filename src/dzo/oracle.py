@@ -10,10 +10,11 @@ holds only its own arrays, with its maker in ``FAMILIES`` under its ``kind``:
 
 Each evaluates uncounted through ``values(agents, points)``, the (B, m)
 values of points[b, m, :] under agent agents[b], or ``stencil_values`` at a
-:class:`Stencil`'s points; ``grads(agents, points)``, their (B, m, d) analytic
-gradients; and ``global_grad(x)``, the gradient of f = (1/N) sum_i f_i in
-closed form (the mean of the per-agent gradients up to summation order),
-which the metrics read.  Algorithms may touch objectives only through
+:class:`Stencil`'s points, checked when the stencil is built;
+``grads(agents, points)``, their (B, m, d) analytic gradients; and
+``global_grad(x)``, the gradient of f = (1/N) sum_i f_i in closed form (the
+mean of the per-agent gradients up to summation order), which the metrics
+read.  Algorithms may touch objectives only through
 :class:`ZerothOrderOracle`, which counts every function-value query per agent.
 """
 
@@ -36,13 +37,20 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 class Stencil:
     """The (B, 2m, d) points x[b] + u·e_l for l in coords[b], then x[b] - u·e_l,
-    with coords (B, m) or (1, m) and u a scalar or one radius per row.  Families
-    evaluate it through their rank-1 structure; ``np.asarray`` builds the points."""
+    with coords (B, m) or (1, m) and u a scalar or one radius per row, kept (1, 1)
+    or (B, 1).  Families evaluate it through their rank-1 structure; ``np.asarray``
+    builds the points.  Checked when built: coords that are not 2-D integers of 1
+    or B rows in [0, d) raise IndexError, other than 1 or B radii ValueError."""
 
     def __init__(self, x: np.ndarray, u, coords: np.ndarray):
-        self.x, self.coords = x, coords
-        self.u = u[:, None] if isinstance(u, np.ndarray) else u   # broadcasts against (B, m)
-        self.shape = (x.shape[0], 2 * coords.shape[1], x.shape[1])
+        n, d = x.shape
+        self.x, self.coords, self.u = x, coords, np.asarray(u, dtype=float).reshape(-1, 1)
+        if coords.ndim != 2 or coords.shape[0] not in (1, n) or (coords.size and (
+                coords.dtype.kind not in "iu" or coords.min() < 0 or coords.max() >= d)):
+            raise IndexError(f"coords must be 2-D integers of 1 or {n} rows in [0, {d})")
+        if self.u.shape[0] not in (1, n):
+            raise ValueError(f"need 1 or {n} radii, got {self.u.shape[0]}")
+        self.shape = (n, 2 * coords.shape[1], d)
 
     def take(self, a: np.ndarray) -> np.ndarray:
         """a[b, coords[b, j]] for a (B, d) array; (B, m)."""
@@ -259,9 +267,10 @@ class ZerothOrderOracle:
     def evaluate_rows(self, agents: np.ndarray, points) -> np.ndarray:
         """Batched queries: points[b, m, :] against agent agents[b]; (B, m).
 
-        points is a (B, m, d) array or a :class:`Stencil`; each of its m points
-        charges one query to the owning agent.  Rows that are not a 1-D integer
-        array, or a row outside [0, N), raise IndexError before any query is charged.
+        points is a (B, m, d) array or a :class:`Stencil` (checked when built);
+        each of its m points charges one query to the owning agent.  Rows that
+        are not a 1-D integer array, or a row outside [0, N), raise IndexError
+        and points of another shape ValueError, before any query is charged.
         """
         agents = np.asarray(agents)
         if agents.ndim != 1 or (agents.size and agents.dtype.kind not in "iu"):

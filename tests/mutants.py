@@ -42,9 +42,8 @@ class Mutant:
     new: str
 
 
-ALG, NET, EST, THEORY, ORACLE = ("src/dzo/algorithms.py", "src/dzo/network.py",
-                                 "src/dzo/estimators.py", "src/dzo/theory.py",
-                                 "src/dzo/oracle.py")
+ALG, NET, THEORY, ORACLE = ("src/dzo/algorithms.py", "src/dzo/network.py",
+                            "src/dzo/theory.py", "src/dzo/oracle.py")
 HETEROGENEOUS = "x0 = x0_scale * rng_init.standard_normal((spec.n_agents, spec.dim))"
 
 MUTANTS = (
@@ -58,6 +57,8 @@ MUTANTS = (
            "alpha = schedule.step_size_at(state.k + 1)"),
     Mutant("combine-then-adapt", ALG, "x_new = w.apply(state.x - alpha * state.s)",
            "x_new = w.apply(state.x) - alpha * state.s"),
+    Mutant("run without its x0_scale check", ALG, "if not np.isfinite(x0_scale):",
+           "if False:"),
     Mutant("refresh at the old iterate", ALG,
            "snap.capture_rows(state.oracle, hit, x[hit], u)",
            "snap.capture_rows(state.oracle, hit, state.x[hit], u)"),
@@ -71,8 +72,10 @@ MUTANTS = (
            "wts = np.ones((n, 1, k))"),
     Mutant("apply without its row check", NET,
            "if x.ndim != 2 or x.shape[0] != self.n_agents:", "if x.ndim != 2:"),
-    Mutant("coord_pair without its range check", EST,
-           "if l.size and (l.min() < 0 or l.max() >= x.shape[1]):", "if False:"),
+    Mutant("stencil without its lower coordinate bound", ORACLE,
+           "coords.min() < 0 or coords.max() >= d", "coords.max() >= d"),
+    Mutant("stencil without its radius-count check", ORACLE,
+           "if self.u.shape[0] not in (1, n):", "if False:"),
     Mutant("benchmark stencil without its u^2 term", ORACLE,
            "st.x)[:, None] + st.u * st.u", "st.x)[:, None]"),
     Mutant("quadratic stencil with its linear term's sign swapped", ORACLE,
@@ -80,8 +83,7 @@ MUTANTS = (
     Mutant("stencil reads row 0's coordinates for every row", ORACLE,
            "np.take(a, self.coords + np.arange", "np.take(a, self.coords[:1] + np.arange"),
     Mutant("stencil charged one query per coordinate", ORACLE,
-           "self.shape = (x.shape[0], 2 * coords.shape[1], x.shape[1])",
-           "self.shape = (x.shape[0], coords.shape[1], x.shape[1])"),
+           "self.shape = (n, 2 * coords.shape[1], d)", "self.shape = (n, coords.shape[1], d)"),
     Mutant("contraction matrix 17 sqrt(d) alpha_l as 16", THEORY,
            "[17.0 * np.sqrt(d) * alpha_l + mix2,", "[16.0 * np.sqrt(d) * alpha_l + mix2,"),
     Mutant("certificate weight 3 as 2.9", THEORY,

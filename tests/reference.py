@@ -49,8 +49,8 @@ def stencil_points(x: np.ndarray, u, coords: np.ndarray) -> np.ndarray:
     return pts
 
 
-def unblocked_stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
-                      coords: np.ndarray) -> np.ndarray:
+def dense_stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
+                  coords: np.ndarray) -> np.ndarray:
     """The coordinate stencil's (n, m) quotients from the dense points of
     ``stencil_points`` in one oracle call, the reference for the rank-1
     evaluation of a ``dzo.oracle.Stencil``."""

@@ -353,7 +353,7 @@ def test_run_validation(monkeypatch):
 
     # A bad refresh policy is rejected before the initial snapshot sweep.
     def no_queries(*args):
-        raise AssertionError("oracle queried before the refresh policy was checked")
+        raise AssertionError("oracle queried before its inputs were checked")
 
     monkeypatch.setattr(ZerothOrderOracle, "evaluate_rows", no_queries)
     oracle = ZerothOrderOracle(spec)
@@ -364,6 +364,10 @@ def test_run_validation(monkeypatch):
         init_vrgt(oracle, x0, sch, np.random.default_rng(0), p=0.5, counting_mode="lazy")
     with pytest.raises(ValueError, match="counting_mode"):
         run("vrgt", topo, spec, sch, StopRule("rounds", 5), seed=0, counting_mode="lazy")
+    # A non-finite start scale would spend the init sweep, then fail at round 1.
+    for scale in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="x0_scale must be finite"):
+            run("gt2d", topo, spec, sch, StopRule("rounds", 5), seed=0, x0_scale=scale)
     assert oracle.total_queries == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dzo.estimators import SnapshotBlock, coord_pair, sphere, sweep, two_point, vr_estimate
 from dzo.oracle import (FAMILIES, Linear, Stencil, ZerothOrderOracle, estimate_smoothness,
                         make_benchmark, make_linear)
-from reference import analytic_grad, diagonal_quadratic, stencil_points, unblocked_stencil
+from reference import analytic_grad, diagonal_quadratic, stencil_points, dense_stencil
 
 ROW = np.array([0])   # single-agent oracles: one row, agent 0
 
@@ -324,7 +324,7 @@ def test_stencil_matches_dense_points(kind, shape):
                 m = coords.shape[1]
                 vals = ranked.evaluate_rows(rows, st)
                 got = (vals[:, :m] - vals[:, m:]) / (2.0 * np.reshape(u, (-1, 1)))
-                want = unblocked_stencil(dense, rows, x, u, coords)
+                want = dense_stencil(dense, rows, x, u, coords)
                 np.testing.assert_array_equal(ranked.query_count, dense.query_count)
                 np.testing.assert_array_equal(ranked.query_count,
                                               2 * m * np.bincount(rows, minlength=n))
@@ -357,6 +357,19 @@ def test_stencil_rejects_rows_that_do_not_match_the_points():
     for rows in (np.arange(2), np.arange(4)):
         with pytest.raises(ValueError, match="rows for"):
             sweep(oracle, rows, np.zeros((3, 4)), 0.1)
+    assert oracle.total_queries == 0
+
+
+def test_coord_pair_rejects_a_malformed_stencil_before_any_query():
+    # At x = 0 on a linear objective, a wrapped coordinate would return
+    # ±u·coef of another agent instead of raising.
+    oracle = ZerothOrderOracle(make_linear(3, 4, seed=0))
+    x, rows = np.zeros((3, 4)), np.arange(3)
+    for l in ([0, -1, 2], [4, 0, 0], [0.0, 1.0, 2.0], [0, 1]):   # out of range, float, 2 for 3
+        with pytest.raises(IndexError, match="coords must be"):
+            coord_pair(oracle, rows, x, 0.5, np.array(l))
+    with pytest.raises(ValueError, match="radii"):
+        coord_pair(oracle, rows, x, np.full(2, 0.5), np.arange(3))
     assert oracle.total_queries == 0
 
 

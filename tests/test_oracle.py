@@ -260,6 +260,16 @@ def test_evaluate_rows_rejects_bad_input():
         with pytest.raises(IndexError):
             oracle.evaluate_rows(rows, Stencil(np.zeros((len(rows), 3)), 0.1,
                                                np.zeros((1, 1), dtype=int)))
+    # A malformed stencil raises when it is built, before any oracle sees it.
+    # A coordinate of -1 would wrap to another agent's row and one of d would
+    # reach into the next row's points.
+    x, rows = np.zeros((3, 3)), np.arange(3)
+    for coords in ([[-1]], [[3]], [[0], [-1], [2]], [[0], [3], [2]],   # outside [0, d)
+                   [[0.0]], [1], [[0], [1]]):     # float, 1-D, 2 coordinate rows for 3
+        with pytest.raises(IndexError, match="coords must be"):
+            oracle.evaluate_rows(rows, Stencil(x, 0.1, np.array(coords)))
+    with pytest.raises(ValueError, match="need 1 or 3 radii, got 2"):
+        oracle.evaluate_rows(rows, Stencil(x, np.full(2, 0.1), np.zeros((1, 1), dtype=int)))
     assert oracle.total_queries == 0
 
 
