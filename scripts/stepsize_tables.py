@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
 """Tabulate certified step sizes and contraction certificates.
 
-Prints, for a grid of (sigma, d, p), the admissible step-size limits and
-the weighted-norm certificate evaluated at the guaranteed level, next to
-the practical step size the experiments actually use.  A reminder that the
+Prints, for a grid of (sigma, d, p), the step-size limits and certificate of
+``dzo verify`` at the 50-agent benchmark's smoothness constant, next to the
+practical step size the experiments actually use.  A reminder that the
 certified region is far more conservative than what works in practice.
+A bad grid prints nothing and exits 2.
 
     python3 scripts/stepsize_tables.py --practical 0.02
 """
 
 import argparse
+import sys
 
-import numpy as np
-
-from dzo.oracle import estimate_smoothness, make_benchmark
-from dzo.theory import (
-    certify_contraction,
-    contraction_step_limit,
-    step_size_limit,
-    step_size_limit_inv_dim,
-)
+from dzo.oracle import make_benchmark
+from dzo.theory import step_size_table
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--sigma", default="0.1,0.5,0.9")
@@ -31,22 +26,21 @@ def main() -> None:
     parser.add_argument("--practical", type=float, default=0.02)
     args = parser.parse_args()
 
-    lhat = estimate_smoothness(make_benchmark(50, 64, seed=42))
-    print(f"# smoothness estimate for the 50-agent benchmark: L = {lhat:.3f}")
+    L = make_benchmark(50, 64, seed=42).smoothness()
+    try:
+        rows = step_size_table([float(s) for s in args.sigma.split(",")],
+                               [int(d) for d in args.d.split(",")],
+                               [float(p) for p in args.p.split(",")], L)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    print(f"# smoothness constant of the 50-agent benchmark: L = {L:.3f}")
     print("sigma,d,p,alpha_limit,alpha_limit_p_inv_d,norm_at_guarantee,practical_ratio")
-    for sigma in map(float, args.sigma.split(",")):
-        for d in map(int, args.d.split(",")):
-            for p in map(float, args.p.split(",")):
-                try:
-                    lim = step_size_limit(sigma, d, p, lhat)
-                except ValueError:
-                    lim = float("nan")
-                inv = step_size_limit_inv_dim(sigma, d, lhat) if sigma > 0 else 0.0
-                cert = certify_contraction(sigma, d, contraction_step_limit(sigma, d))
-                ratio = args.practical / lim if np.isfinite(lim) and lim > 0 else np.inf
-                print(f"{sigma:g},{d},{p:g},{lim:.3e},{inv:.3e},"
-                      f"{cert.weighted_norm:.6f},{ratio:.1e}")
+    for sigma, d, p, lim, inv, _, cert in rows:
+        ratio = args.practical / lim if lim > 0 else float("inf")   # NaN > 0 is False
+        print(f"{sigma:g},{d},{p:g},{lim:.3e},{inv:.3e},{cert.weighted_norm:.6f},{ratio:.1e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -62,22 +61,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # All rows are built before any is printed: a rejected input prints none.
     rows = ["sigma,d,p,step_limit,step_limit_p_inv_d,alpha_l,weighted_norm,bound,"
             "spectral_radius,satisfied"]
-    for sigma in _floats(args.sigma):
-        for d in _ints(args.d):
-            for p in _floats(args.p):
-                with warnings.catch_warnings():   # sigma = 0 certifies no step at p = 1/d
-                    warnings.simplefilter("ignore")
-                    lim_inv = theory.step_size_limit_inv_dim(sigma, d, args.L)
-                try:    # sigma, d and L are checked above: only p can be out of range
-                    lim = theory.step_size_limit(sigma, d, p, args.L)
-                except ValueError:
-                    lim = float("nan")
-                alpha_l = args.alpha_l if args.alpha_l is not None \
-                    else theory.contraction_step_limit(sigma, d)
-                cert = theory.certify_contraction(sigma, d, alpha_l)
-                rows.append(f"{sigma:g},{d},{p:g},{lim:.12g},{lim_inv:.12g},{alpha_l:.12g},"
-                            f"{cert.weighted_norm:.12g},{cert.bound:.12g},"
-                            f"{cert.spectral_radius:.12g},{str(cert.satisfied).lower()}")
+    for sigma, d, p, lim, lim_inv, alpha_l, cert in theory.step_size_table(
+            _floats(args.sigma), _ints(args.d), _floats(args.p), args.L, args.alpha_l):
+        rows.append(f"{sigma:g},{d},{p:g},{lim:.12g},{lim_inv:.12g},{alpha_l:.12g},"
+                    f"{cert.weighted_norm:.12g},{cert.bound:.12g},"
+                    f"{cert.spectral_radius:.12g},{str(cert.satisfied).lower()}")
     print("\n".join(rows))
     return 0
 

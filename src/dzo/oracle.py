@@ -11,11 +11,11 @@ holds only its own arrays, with its maker in ``FAMILIES`` under its ``kind``:
 Each evaluates uncounted through ``values(agents, points)``, the (B, m)
 values of points[b, m, :] under agent agents[b], or ``stencil_values`` at a
 :class:`Stencil`'s points, checked when the stencil is built;
-``grads(agents, points)``, their (B, m, d) analytic gradients; and
 ``global_grad(x)``, the gradient of f = (1/N) sum_i f_i in closed form (the
 mean of the per-agent gradients up to summation order), which the metrics
-read.  Algorithms may touch objectives only through
-:class:`ZerothOrderOracle`, which counts every function-value query per agent.
+read; and ``smoothness()``, a closed-form L bounding every f_i's Hessian
+norm, which ``dzo.theory`` takes.  Algorithms may touch objectives only
+through :class:`ZerothOrderOracle`, which counts every query per agent.
 """
 
 from __future__ import annotations
@@ -127,19 +127,18 @@ class Benchmark(ObjectiveSpec):
         return self.alpha[agents][:, None] * _sigmoid(st.pm(t, st.take(z))) \
             + self.beta[agents][:, None] * np.log1p(st.pm(sq, 2.0 * st.take(st.x)))
 
-    def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
-        z = self.zeta[agents]
-        t = np.einsum("bmd,bd->bm", points, z) + self.v[agents][:, None]
-        sig = _sigmoid(t)
-        sq = np.einsum("bmd,bmd->bm", points, points)
-        part1 = (self.alpha[agents][:, None] * sig * (1.0 - sig))[:, :, None] * z[:, None, :]
-        part2 = (self.beta[agents][:, None] * 2.0 / (1.0 + sq))[:, :, None] * points
-        return part1 + part2
-
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         sig = _sigmoid(self.zeta @ x + self.v)
         return ((self.alpha * sig * (1.0 - sig)) @ self.zeta
                 + (2.0 * self.beta.sum() / (1.0 + x @ x)) * x) / self.n_agents
+
+    def smoothness(self) -> float:
+        """max_i |alpha_i| |zeta_i|^2 / (6 sqrt(3)) + 2 |beta_i|: |sigmoid''| peaks
+        at 1/(6 sqrt(3)), and the Hessian of ln(1 + |x|^2) has its eigenvalues
+        in [-1/4, 2]."""
+        zz = np.einsum("nd,nd->n", self.zeta, self.zeta)
+        return float(np.max(np.abs(self.alpha) * zz / (6.0 * np.sqrt(3.0))
+                            + 2.0 * np.abs(self.beta)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +153,12 @@ class Quadratic(ObjectiveSpec):
         self._freeze(quad=(n, d, d), shift=(n, d))
         q = self.quad
         asym = np.max(np.abs(q - q.transpose(0, 2, 1)), axis=(1, 2)) > 1e-10
-        bad = np.flatnonzero(asym | (np.linalg.eigvalsh(q)[:, 0] < -1e-10))
+        eig = np.linalg.eigvalsh(q)                 # (N, d), ascending per agent
+        bad = np.flatnonzero(asym | (eig[:, 0] < -1e-10))
         if bad.size:
             i = bad[0]
             raise ValueError(f"quad[{i}] is not {'symmetric' if asym[i] else 'PSD'}")
+        object.__setattr__(self, "_largest_eig", float(eig[:, -1].max()))
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +187,13 @@ class Quadratic(ObjectiveSpec):
         curve = 0.5 * st.u * st.u * st.take(np.diagonal(quad, axis1=1, axis2=2))
         return st.pm(base, st.take(dq)) + np.tile(curve, 2)
 
-    def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
-        # The gradient is Q . diff itself, so it keeps that reading; no run calls it.
-        diff = points - self.shift[agents][:, None, :]
-        return np.matmul(diff, self.quad[agents].transpose(0, 2, 1))
-
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         qbar, qshift = self._moments
         return qbar @ x - qshift
+
+    def smoothness(self) -> float:
+        """max_i ||Q_i||_2, the largest eigenvalue of a PSD Q_i: exact."""
+        return self._largest_eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,11 +212,11 @@ class Linear(ObjectiveSpec):
         c = self.coef[agents]
         return st.pm(np.einsum("bd,bd->b", st.x, c)[:, None], st.take(c))
 
-    def grads(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.coef[agents][:, None, :], points.shape).copy()
-
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         return self.coef.mean(axis=0)
+
+    def smoothness(self) -> float:
+        return 0.0
 
 
 def make_benchmark(n: int, d: int, seed: int) -> Benchmark:
@@ -291,30 +291,3 @@ class ZerothOrderOracle:
         np.add.at(self.query_count, agents, shape[1])
         return values(agents, points)
 
-
-def estimate_smoothness(spec: ObjectiveSpec) -> float:
-    """Empirical gradient-Lipschitz bound.
-
-    Max over agents of max over 16 sampled point pairs per scale of
-    ||grad f_i(x) - grad f_i(y)|| / ||x - y||, times a safety factor of 1.5.
-    Pair centers span several radii (including the origin, where curvature
-    often peaks for penalty-style objectives), with both well-separated and
-    nearly coincident pairs at each scale.  Deterministic: the pairs come
-    from a fixed seed.
-    """
-    rng = np.random.default_rng(0)
-    agents = np.arange(spec.n_agents)
-    shape = (spec.n_agents, 16, spec.dim)
-    worst = 0.0
-    for scale in (0.0, 0.1, 0.5, 1.0, 2.0):
-        x = scale * rng.standard_normal(shape)
-        far = scale * rng.standard_normal(shape)
-        near = x + 1e-3 * rng.standard_normal(shape)
-        gx = spec.grads(agents, x)
-        for y in (far, near):
-            gy = spec.grads(agents, y)
-            num = np.linalg.norm(gx - gy, axis=2)
-            den = np.linalg.norm(x - y, axis=2)
-            ratio = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)
-            worst = max(worst, float(ratio.max()))
-    return 1.5 * worst

@@ -7,13 +7,15 @@ Pure scalar/3x3-matrix computations, independent of any run trajectory:
 * the coefficient matrix of the coupled error recursion
   (consensus error of the iterates, of the snapshots, and scaled tracker
   error), together with a weighted-infinity-norm contraction certificate;
-* the variance envelope of the variance-reduced estimator.
+* the variance envelope of the variance-reduced estimator;
+* the (sigma, d, p) table that ``dzo verify`` and ``scripts/stepsize_tables.py``
+  print, L being a smoothness constant such as ``spec.smoothness()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -51,8 +53,8 @@ def _check_l(L: float) -> None:
 def step_size_limit(sigma: float, d: int, p: float, L: float) -> float:
     """Largest certified step size for the general refresh probability.
 
-    L is an estimated (upper) smoothness bound; dimensions below 3 are
-    outside the analysis.
+    L is a smoothness constant such as ``spec.smoothness()``; dimensions
+    below 3 are outside the analysis.
 
     The product of step size and smoothness must stay below the minimum of
     three terms: 1/(6 sqrt(d)); (1/(12 sqrt(d))) (sqrt((2+sigma^2)/(1-p))
@@ -88,9 +90,6 @@ def step_size_limit_inv_dim(sigma: float, d: int, L: float) -> float:
     """
     _check(sigma, d)
     _check_l(L)
-    if sigma == 0.0:
-        warnings.warn("sigma = 0: no positive step size is certified for p = 1/d",
-                      stacklevel=2)
     t2 = np.sqrt(3.0) / (12.0 * np.sqrt(d)) * (-1.0 + np.sqrt(1.0 + sigma**2 / (d - 1.0)))
     t3 = (1.0 - sigma**2) ** 3 / (264.0 * _SQRT29 * d**1.5)
     return float(min(t2, t3)) / L
@@ -149,3 +148,20 @@ def estimator_variance_limit(d: int, L: float, dist_x_y: float, dist_snap_y: flo
     return (12.0 * d * L**2 * dist_x_y**2
             + 12.0 * d * L**2 * dist_snap_y**2
             + 3.5 * u_tilde**2 * L**2 * d**2)
+
+
+def step_size_table(sigmas, dims, ps, L: float, alpha_l: float | None = None) -> list[tuple]:
+    """Every (sigma, d, p) row of the grid, sigma slowest, as (sigma, d, p,
+    step_limit, step_limit_p_inv_d, alpha_l, certificate): step_limit is NaN
+    where p is out of range, and alpha_l defaults to contraction_step_limit.
+    Any other bad input raises ValueError before a row is returned."""
+    rows = []
+    for sigma, d, p in product(sigmas, dims, ps):
+        lim_inv = step_size_limit_inv_dim(sigma, d, L)
+        try:    # sigma, d and L are checked above: only p can be out of range
+            lim = step_size_limit(sigma, d, p, L)
+        except ValueError:
+            lim = float("nan")
+        level = contraction_step_limit(sigma, d) if alpha_l is None else alpha_l
+        rows.append((sigma, d, p, lim, lim_inv, level, certify_contraction(sigma, d, level)))
+    return rows

@@ -98,8 +98,12 @@ MUTANTS = (
     Mutant("variance limit check without finiteness", THEORY,
            "if not (0 < d < np.inf and all(0.0 <= v < np.inf for v in dists)):",
            "if d <= 0 or min(dists) < 0:"),
-    Mutant("smoothness safety factor 1.5 as 1.4", ORACLE,
-           "return 1.5 * worst", "return 1.4 * worst"),
+    Mutant("benchmark smoothness 6 sqrt(3) as 4", ORACLE,
+           "zz / (6.0 * np.sqrt(3.0))", "zz / 4.0"),
+    Mutant("benchmark smoothness 2|beta| as |beta|", ORACLE,
+           "+ 2.0 * np.abs(self.beta)", "+ np.abs(self.beta)"),
+    Mutant("quadratic smoothness from the smallest eigenvalue", ORACLE,
+           "float(eig[:, -1].max())", "float(eig[:, 0].max())"),
     Mutant("quadratic draw with I/2 as 0.4 I", ORACLE,
            "/ d + 0.5 * np.eye(d)", "/ d + 0.4 * np.eye(d)"),
     Mutant("consensus sum back through BLAS", ALG,

@@ -1,7 +1,7 @@
-"""Reference functions that only tests call: uncounted per-agent values and
-gradients, a diagonal quadratic built from explicit arrays, the coordinate
-stencil on dense points, a metrics CSV reader, and the decay-rate fit of
-criterion 10."""
+"""Reference functions that only tests call: uncounted per-agent values,
+gradients and Hessians, a diagonal quadratic built from explicit arrays, the
+coordinate stencil on dense points, a metrics CSV reader, and the decay-rate
+fit of criterion 10."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from dzo.harness import CSV_HEADER
 from dzo.algorithms import MetricsRow
-from dzo.oracle import ObjectiveSpec, Quadratic, ZerothOrderOracle
+from dzo.oracle import Benchmark, ObjectiveSpec, Quadratic, ZerothOrderOracle
 
 
 def objective_value(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> float:
@@ -21,10 +21,38 @@ def objective_value(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> float:
     return float(spec.values(np.array([agent]), pts)[0, 0])
 
 
+def _sigmoid_terms(spec: Benchmark, agent: int, x: np.ndarray) -> tuple[float, float]:
+    """sigmoid(t) and sigmoid(t)(1 - sigmoid(t)) at t = zeta_i . x + v_i,
+    through the tanh form, which saturates instead of overflowing."""
+    s = 0.5 * (1.0 + np.tanh(0.5 * (spec.zeta[agent] @ x + spec.v[agent])))
+    return s, s * (1.0 - s)
+
+
 def analytic_grad(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> np.ndarray:
     """Closed-form gradient of f_i at x; never counted as a query."""
-    pts = np.asarray(x, dtype=float).reshape(1, 1, spec.dim)
-    return spec.grads(np.array([agent]), pts)[0, 0]
+    x = np.asarray(x, dtype=float)
+    if isinstance(spec, Benchmark):
+        _, ds = _sigmoid_terms(spec, agent, x)
+        return (spec.alpha[agent] * ds * spec.zeta[agent]
+                + (2.0 * spec.beta[agent] / (1.0 + x @ x)) * x)
+    if isinstance(spec, Quadratic):
+        return spec.quad[agent] @ (x - spec.shift[agent])   # the Q . diff reading
+    return spec.coef[agent].copy()
+
+
+def analytic_hessian(spec: ObjectiveSpec, agent: int, x: np.ndarray) -> np.ndarray:
+    """Closed-form (d, d) Hessian of f_i at x, symmetric."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(spec, Benchmark):
+        s, ds = _sigmoid_terms(spec, agent, x)
+        z, r = spec.zeta[agent], 1.0 + x @ x
+        log_part = 2.0 / r * np.eye(spec.dim) - 4.0 / r**2 * np.outer(x, x)
+        return spec.alpha[agent] * ds * (1.0 - 2.0 * s) * np.outer(z, z) \
+            + spec.beta[agent] * log_part
+    if isinstance(spec, Quadratic):
+        q = spec.quad[agent]
+        return 0.5 * (q + q.T)
+    return np.zeros((spec.dim, spec.dim))
 
 
 def diagonal_quadratic(n: int, d: int, diag=1.0) -> Quadratic:

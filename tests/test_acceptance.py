@@ -12,7 +12,7 @@ import dzo
 from dzo.algorithms import Schedule, StopRule, init_gt2d, init_vrgt, gt2d_step, vrgt_step
 from dzo.estimators import SnapshotBlock, coord_pair, sweep, vr_estimate
 from dzo.harness import run_experiment, suite_configs, run_config
-from dzo.oracle import ZerothOrderOracle, estimate_smoothness, make_benchmark
+from dzo.oracle import ZerothOrderOracle, make_benchmark
 from dzo.theory import certify_contraction, contraction_step_limit, estimator_variance_limit
 from reference import analytic_grad, fit_decay_rate
 
@@ -77,7 +77,7 @@ def test_criterion_03_full_sweep_error_bound():
     ok = True
     for d in (8, 64):
         spec = make_benchmark(1, d, seed=d)
-        lhat = estimate_smoothness(spec)
+        lhat = spec.smoothness()
         oracle = ZerothOrderOracle(spec)
         for u in (1e-2, 1e-4):
             bound = 0.5 * u * lhat * np.sqrt(d)
@@ -97,7 +97,7 @@ def test_criterion_04_variance_envelope():
     worst_ratio = 0.0
     for trial in range(50):
         spec = make_benchmark(1, d, seed=2000 + trial)
-        lhat = estimate_smoothness(spec)
+        lhat = spec.smoothness()
         oracle = ZerothOrderOracle(spec)
         x = rng.standard_normal(d)
         xt = rng.standard_normal(d)

@@ -21,12 +21,17 @@ from reference import read_csv
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args):
+def python_process(*args):
     """Run a fresh interpreter on args with this checkout's dzo importable."""
     src = str(Path(dzo.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_python(*args):
+    """Run python_process(*args), which must succeed; its stdout lines."""
+    proc = python_process(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -297,10 +302,16 @@ def test_readme_config_choices_match_their_owners():
 
 
 def test_stepsize_tables_script():
-    out = run_python(str(REPO / "scripts" / "stepsize_tables.py"))
-    assert out[0].startswith("# smoothness estimate for the 50-agent benchmark: L = ")
+    script = str(REPO / "scripts" / "stepsize_tables.py")
+    out = run_python(script)
+    assert out[0] == "# smoothness constant of the 50-agent benchmark: L = 3.035"
     assert out[1] == "sigma,d,p,alpha_limit,alpha_limit_p_inv_d,norm_at_guarantee,practical_ratio"
     assert len(out) == 2 + 3 * 3 * 2
+    # A bad grid prints nothing to stdout, not even the L line, and exits 2,
+    # as dzo verify does.
+    proc = python_process(script, "--sigma", "0.5,1.5", "--d", "16", "--p", "0.5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: sigma must lie in [0, 1), got 1.5\n"
 
 
 def test_reproduce_figs_script(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzo.estimators import SnapshotBlock, coord_pair, sphere, sweep, two_point, vr_estimate
-from dzo.oracle import (FAMILIES, Linear, Stencil, ZerothOrderOracle, estimate_smoothness,
-                        make_benchmark, make_linear)
+from dzo.oracle import (FAMILIES, Linear, Stencil, ZerothOrderOracle, make_benchmark,
+                        make_linear)
 from reference import analytic_grad, diagonal_quadratic, stencil_points, dense_stencil
 
 ROW = np.array([0])   # single-agent oracles: one row, agent 0
@@ -103,7 +103,7 @@ def test_two_d_point_exact_on_quadratic_and_linear():
 
 def test_two_d_point_error_bound():
     spec = make_benchmark(1, 8, seed=4)
-    lhat = estimate_smoothness(spec)
+    lhat = spec.smoothness()
     oracle = ZerothOrderOracle(spec)
     rng = np.random.default_rng(5)
     u = 1e-4
@@ -263,7 +263,7 @@ def test_vr_ge_variance_within_envelope():
     rng = np.random.default_rng(8)
     for trial in range(10):
         spec = make_benchmark(1, d, seed=100 + trial)
-        lhat = estimate_smoothness(spec)
+        lhat = spec.smoothness()
         oracle = ZerothOrderOracle(spec)
         x = rng.standard_normal(d)
         xt = rng.standard_normal(d)

@@ -12,12 +12,11 @@ from dzo.oracle import (
     Quadratic,
     Stencil,
     ZerothOrderOracle,
-    estimate_smoothness,
     make_benchmark,
     make_linear,
     make_quadratic,
 )
-from reference import analytic_grad, diagonal_quadratic, objective_value
+from reference import analytic_grad, analytic_hessian, diagonal_quadratic, objective_value
 
 
 def central_difference(spec, agent, x, h=1e-5):
@@ -274,26 +273,80 @@ def test_evaluate_rows_rejects_bad_input():
 
 
 def test_smoothness_quadratic_bracketed():
-    spec = diagonal_quadratic(1, 4, diag=2.0)
-    lhat = estimate_smoothness(spec)
-    assert 2.0 <= lhat <= 3.0
+    assert diagonal_quadratic(1, 4, diag=2.0).smoothness() == 2.0
 
 
 def test_smoothness_linear_tiny():
-    assert estimate_smoothness(make_linear(2, 3, seed=1)) <= 1.5e-9
+    assert make_linear(2, 3, seed=1).smoothness() == 0.0
 
 
 def test_smoothness_frozen():
-    # The worst sampled gradient ratio times the safety factor 1.5.
-    lhat = estimate_smoothness(make_benchmark(50, 64, seed=42))
-    assert lhat == pytest.approx(4.488714689863427, rel=1e-12)
+    # max_i |alpha_i| |zeta_i|^2 / (6 sqrt(3)) + 2 |beta_i|.
+    lhat = make_benchmark(50, 64, seed=42).smoothness()
+    assert lhat == pytest.approx(3.035306493659206, rel=1e-12)
 
 
 def test_smoothness_reproducible():
-    spec = make_benchmark(4, 64, seed=42)
-    a = estimate_smoothness(spec)
-    b = estimate_smoothness(spec)
+    a = make_benchmark(4, 64, seed=42).smoothness()
+    b = make_benchmark(4, 64, seed=42).smoothness()
     assert a == b and np.isfinite(a) and a > 0
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: make_quadratic(50, 64, seed=42),
+    lambda: make_quadratic(1000, 16, seed=1),
+    lambda: make_quadratic(3, 300, seed=3),
+    nearly_symmetric_quadratic,
+], ids=["50x64", "1000x16", "3x300", "asymmetric"])
+def test_quadratic_smoothness_is_largest_eigenvalue(maker):
+    # The spectral norm through an SVD, not through the spec's own eigvalsh.
+    spec = maker()
+    exact = max(np.linalg.norm(q, 2) for q in spec.quad)
+    assert spec.smoothness() == pytest.approx(exact, rel=1e-12)
+
+
+def benchmark_hessian_points(spec, agent, rng):
+    # x = 0, where the log barrier's Hessian is 2 beta I; a point with
+    # |x|^2 = 3, where its radial eigenvalue is -beta/4; t = zeta.x + v at
+    # ln(2 ± sqrt(3)), where |sigmoid''| peaks at 1/(6 sqrt(3)), with x
+    # along zeta and, where it reaches, also at |x|^2 = 3; and random points.
+    d, z = spec.dim, spec.zeta[agent]
+    zhat = z / np.linalg.norm(z)
+    w = rng.standard_normal(d)
+    w -= (w @ zhat) * zhat
+    w /= np.linalg.norm(w)
+    points = [np.zeros(d), np.sqrt(3.0) * w]
+    for t in (np.log(2.0 + np.sqrt(3.0)), np.log(2.0 - np.sqrt(3.0))):
+        a = (t - spec.v[agent]) / np.linalg.norm(z)
+        points.append(a * zhat)
+        if a * a <= 3.0:
+            points.append(a * zhat + np.sqrt(3.0 - a * a) * w)
+    return points + [rng.standard_normal(d) * scale for scale in (0.1, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: make_benchmark(50, 64, seed=42),
+    lambda: make_benchmark(20, 3, seed=7),
+    lambda: make_benchmark(5, 2, seed=2),
+    lambda: make_quadratic(50, 64, seed=42),
+    nearly_symmetric_quadratic,
+    lambda: make_linear(4, 5, seed=3),
+], ids=["benchmark", "benchmark_d3", "benchmark_d2", "quadratic", "quadratic_asymmetric",
+        "linear"])
+def test_smoothness_bounds_the_exact_hessian(maker):
+    spec = maker()
+    lhat = spec.smoothness()
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for agent in range(spec.n_agents):
+        points = (benchmark_hessian_points(spec, agent, rng) if isinstance(spec, Benchmark)
+                  else [rng.standard_normal(spec.dim) * s for s in (0.1, 1.0, 3.0)])
+        for x in points:
+            worst = max(worst, np.linalg.norm(analytic_hessian(spec, agent, x), 2))
+    assert worst <= lhat * (1.0 + 1e-12)
+    # And tight: the drawn points come within 2 % of the benchmark's bound
+    # (0.990 of it on the first case) and reach the quadratic's.
+    assert worst >= (0.98 if isinstance(spec, Benchmark) else 1.0 - 1e-12) * lhat
 
 
 def test_spec_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dzo.theory import (
     estimator_variance_limit,
     step_size_limit,
     step_size_limit_inv_dim,
+    step_size_table,
 )
 
 SQRT29 = np.sqrt(29.0)
@@ -83,7 +85,9 @@ def test_step_limit_monotone_at_p1():
 
 
 def test_inv_dim_limit():
-    with pytest.warns(UserWarning):
+    # sigma = 0 certifies no positive step: 0.0, and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert step_size_limit_inv_dim(0.0, 8, 1.0) == 0.0
     val = step_size_limit_inv_dim(0.9, 64, 1.0)
     assert val > 0
@@ -111,6 +115,28 @@ def test_inv_dim_limit_terms():
     for sigma in (0.05, 0.5, 0.99):
         for d in (3, 4, 64):
             assert step_size_limit_inv_dim(sigma, d, 1.0) < 0.2 / (6.0 * np.sqrt(d))
+
+
+def test_step_size_table():
+    # One row per (sigma, d, p), sigma slowest, from the functions it tabulates.
+    rows = step_size_table([0.0, 0.5], [3, 16], [0.01, 1.0], 2.0)
+    assert [r[:3] for r in rows] == [(s, d, p) for s in (0.0, 0.5) for d in (3, 16)
+                                     for p in (0.01, 1.0)]
+    for sigma, d, p, lim, lim_inv, alpha_l, cert in rows:
+        if p > (1.0 - sigma**2) / d:
+            assert lim == step_size_limit(sigma, d, p, 2.0)
+        else:
+            assert math.isnan(lim)
+        assert lim_inv == step_size_limit_inv_dim(sigma, d, 2.0)
+        assert alpha_l == contraction_step_limit(sigma, d)
+        assert cert == certify_contraction(sigma, d, alpha_l)
+    assert [r[4] for r in rows[:4]] == [0.0] * 4       # sigma = 0 certifies no step at p = 1/d
+    assert all(r[5] == 1e-4 for r in step_size_table([0.5], [16], [0.5], 1.0, 1e-4))
+    # A bad sigma, d, L or alpha_l raises, also after good rows.
+    for args in (([0.5, 1.0], [16], [0.5], 1.0), ([0.5], [16, 2], [0.5], 1.0),
+                 ([0.5], [16], [0.5], 0.0), ([0.5], [16], [0.5], 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            step_size_table(*args)
 
 
 # (sigma, d, alpha_l): the matrix entries in closed form, and the
