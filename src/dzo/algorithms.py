@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .estimators import SnapshotBlock, check_policy, sphere, sweep, two_point, vr_estimate
+from .estimators import SnapshotBlock, check_policy, directions, sweep, two_point, vr_estimate
 from .network import MixingMatrix, Topology, metropolis_weights
 from .oracle import ObjectiveSpec, ZerothOrderOracle
 
@@ -94,10 +94,11 @@ class StopRule:
 
 @dataclass(eq=False)
 class RunState:
-    """Mutable state of one run.  A run owns its oracle, its rng stream and,
-    for vrgt, its refresh probability and counting mode: every step reads
-    them from here, and init_vrgt runs check_policy before any query.  Its
-    array fields make it compare by identity."""
+    """Mutable state of one run.  A run owns its oracle, its rng stream,
+    for dgd2p the stream of directions drawn from it and, for vrgt, its
+    refresh probability and counting mode: every step reads them from here,
+    and init_vrgt runs check_policy before any query.  Its array fields make
+    it compare by identity."""
 
     k: int
     x: np.ndarray                      # (N, d) iterates
@@ -106,6 +107,7 @@ class RunState:
     s: np.ndarray | None = None        # (N, d) trackers
     g_prev: np.ndarray | None = None   # (N, d) previous estimates
     snapshots: SnapshotBlock | None = None
+    directions: Iterator[np.ndarray] | None = None   # (N, d) per round
     p: float = 0.0
     counting_mode: str = "paper_faithful"
 
@@ -137,7 +139,7 @@ def compute_metrics(state: RunState) -> MetricsRow:
     and (for tracked algorithms) mean squared tracker error against
     grad f(xbar), for the objective of the state's oracle."""
     n = state.x.shape[0]
-    xbar = state.x.mean(axis=0)
+    xbar = np.add.reduce(state.x, axis=0) / n   # what x.mean(axis=0) computes
     grad = state.oracle.spec.global_grad(xbar)
     stat_gap = float(grad @ grad)
     # numpy's pairwise sums: BLAS ddot's bits depend on its thread count.
@@ -154,7 +156,10 @@ def compute_metrics(state: RunState) -> MetricsRow:
 
 def init_dgd2p(oracle: ZerothOrderOracle, x0: np.ndarray,
                rng: np.random.Generator) -> RunState:
-    return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng)
+    """The directions are drawn in line, a block at a time, as the rounds
+    take them; ``run`` swaps in a stream drawn ahead on a worker thread."""
+    return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng,
+                    directions=directions(rng, *x0.shape))
 
 
 def init_gt2d(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
@@ -180,10 +185,10 @@ def init_vrgt(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
 
 def dgd2p_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
     """Mixed descent along fresh two-point estimates; 2 queries per agent."""
-    n, d = state.x.shape
     u = schedule.smoothing_at(state.k)
     eta = schedule.step_size_at(state.k)
-    grad_est = two_point(state.oracle, np.arange(n), state.x, u, sphere(state.rng, n, d))
+    grad_est = two_point(state.oracle, np.arange(len(state.x)), state.x, u,
+                         next(state.directions))
     state.x = w.apply(state.x - eta * grad_est)
     state.k += 1
     return state
@@ -242,9 +247,12 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
 
     The trajectory is fully determined by the arguments: the master seed
     derives one stream for the initial point and one consumed by the rounds
-    in a fixed order.  All agents start from the same point unless
-    heterogeneous_x0 is set.  A queries stop rule that initialization alone
-    meets raises ValueError, since no round would run.
+    in a fixed order.  dgd2p's directions are drawn a block ahead on one
+    worker thread, the only user of that stream, so the order is the
+    in-line one; the thread is joined before run returns or raises.  All
+    agents start from the same point unless heterogeneous_x0 is set.  A
+    queries stop rule that initialization alone meets raises ValueError,
+    since no round would run.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -273,8 +281,17 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         raise ValueError(f"{algorithm} initialization costs {oracle.total_queries} queries, "
                          f"which already meets the stop limit of {stop.limit}")
 
+    pool = None
+    if algorithm == "dgd2p":
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by `import dzo`
+        pool = ThreadPoolExecutor(max_workers=1)
+        state.directions = directions(rng, *x0.shape, pool)
     rows: list[MetricsRow] = []
-    while (state.k if stop.kind == "rounds" else oracle.total_queries) < stop.limit:
-        step(state, w, schedule)
-        rows.append(compute_metrics(state))
+    try:
+        while (state.k if stop.kind == "rounds" else oracle.total_queries) < stop.limit:
+            step(state, w, schedule)
+            rows.append(compute_metrics(state))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return rows

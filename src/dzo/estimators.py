@@ -20,11 +20,15 @@ refresh probability p); ``cached`` serves it from the stored sweep
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .oracle import Stencil, ZerothOrderOracle
 
 COUNTING_MODES = ("paper_faithful", "cached")
+BLOCK_BYTES = 1 << 20   # directions drawn per block
+SQUARE_PARTS = 4        # a block's squares are taken in parts, to hold less memory
 
 
 def check_policy(p: float, counting_mode: str) -> None:
@@ -47,11 +51,70 @@ def sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z / norms
 
 
+def _fill_block(rng: np.random.Generator, z: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Fill z, (r, n, d), with the directions of r successive sphere(rng, n, d)
+    calls, bit for bit; sq, (c, n, d), takes the squares of c rounds at a
+    time.  Returns z."""
+    state = rng.bit_generator.state
+    rng.standard_normal(out=z)
+    norms = np.empty((*z.shape[:2], 1))
+    for i in range(0, len(z), len(sq)):
+        part = z[i:i + len(sq)]
+        np.add.reduce(np.multiply(part, part, out=sq[:len(part)]), axis=-1, keepdims=True,
+                      out=norms[i:i + len(part)])
+    np.sqrt(norms, out=norms)
+    if np.any(norms == 0.0):  # probability-zero: redraw the block as sphere would
+        rng.bit_generator.state = state
+        for block_round in z:
+            block_round[...] = sphere(rng, *block_round.shape)
+    else:
+        z /= norms
+    return z
+
+
+def directions(rng: np.random.Generator, n: int, d: int, pool=None) -> Iterator[np.ndarray]:
+    """Endless per-round (n, d) unit directions, bit for bit those of
+    successive sphere(rng, n, d) calls.
+
+    Each block of about BLOCK_BYTES of rounds is one draw and one
+    normalisation.  With an executor as pool, its one worker draws the next
+    block while the current one is consumed, and is then the only caller of
+    rng; a worker's exception surfaces from next().  Each round is yielded
+    as a copy, so it stays valid while the block buffers are reused."""
+    import mmap   # not loaded by `import dzo`
+
+    rounds = max(1, BLOCK_BYTES // (8 * n * d))
+
+    def buffer(r: int) -> np.ndarray:
+        # r rounds on pages of their own, unmapped when the stream is
+        # dropped.  Freeing a malloc block this large raises glibc's mmap
+        # threshold, and the heap it leaves raised repeated runs' peak RSS.
+        return np.frombuffer(mmap.mmap(-1, 8 * r * n * d)).reshape(r, n, d)
+
+    ready, sq = buffer(rounds), buffer(-(-rounds // SQUARE_PARTS))
+    if pool is None:
+        while True:
+            for z in _fill_block(rng, ready, sq):
+                yield z.copy()
+    spare = buffer(rounds)
+    pending = pool.submit(_fill_block, rng, ready, sq)
+    while True:
+        ready = pending.result()
+        pending = pool.submit(_fill_block, rng, spare, sq)
+        for z in ready:
+            yield z.copy()
+        spare = ready
+
+
 def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: float,
               z: np.ndarray) -> np.ndarray:
     """Difference quotients along the unit rows of z, scaled by d; (n, d)."""
-    d = x.shape[1]
-    vals = oracle.evaluate_rows(rows, np.stack([x + u * z, x - u * z], axis=1))
+    n, d = x.shape
+    uz = u * z
+    pts = np.empty((n, 2, d))
+    np.add(x, uz, out=pts[:, 0])
+    np.subtract(x, uz, out=pts[:, 1])
+    vals = oracle.evaluate_rows(rows, pts)
     return d * ((vals[:, 0] - vals[:, 1]) / (2.0 * u))[:, None] * z
 
 

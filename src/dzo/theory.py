@@ -154,9 +154,14 @@ def step_size_table(sigmas, dims, ps, L: float, alpha_l: float | None = None) ->
     """Every (sigma, d, p) row of the grid, sigma slowest, as (sigma, d, p,
     step_limit, step_limit_p_inv_d, alpha_l, certificate): step_limit is NaN
     where p is out of range, and alpha_l defaults to contraction_step_limit.
-    Any other bad input raises ValueError before a row is returned."""
+    Any other bad input, an empty axis too, raises ValueError before a row
+    is returned."""
+    axes = {"sigma": list(sigmas), "d": list(dims), "p": list(ps)}
+    for name, values in axes.items():
+        if not values:
+            raise ValueError(f"the {name} grid is empty")
     rows = []
-    for sigma, d, p in product(sigmas, dims, ps):
+    for sigma, d, p in product(*axes.values()):
         lim_inv = step_size_limit_inv_dim(sigma, d, L)
         try:    # sigma, d and L are checked above: only p can be out of range
             lim = step_size_limit(sigma, d, p, L)

@@ -42,8 +42,9 @@ class Mutant:
     new: str
 
 
-ALG, NET, THEORY, ORACLE = ("src/dzo/algorithms.py", "src/dzo/network.py",
-                            "src/dzo/theory.py", "src/dzo/oracle.py")
+ALG, NET, THEORY, ORACLE, EST = ("src/dzo/algorithms.py", "src/dzo/network.py",
+                                 "src/dzo/theory.py", "src/dzo/oracle.py",
+                                 "src/dzo/estimators.py")
 HETEROGENEOUS = "x0 = x0_scale * rng_init.standard_normal((spec.n_agents, spec.dim))"
 
 MUTANTS = (
@@ -109,6 +110,10 @@ MUTANTS = (
     Mutant("consensus sum back through BLAS", ALG,
            "consensus = float(np.square(dx, out=dx).sum()) / n",
            "consensus = float(dx.ravel() @ dx.ravel()) / n"),
+    Mutant("prefetch normalises over the wrong axis", EST, "axis=-1, keepdims=True",
+           "axis=1, keepdims=True"),
+    Mutant("fallback keeps the advanced generator state", EST,
+           "rng.bit_generator.state = state", "pass"),
 )
 
 

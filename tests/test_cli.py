@@ -61,7 +61,9 @@ def test_verify_rejects_bad_input_before_printing(capsys):
                  ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--L", "nan"],
                  ["--sigma", "0", "--d", "16", "--p", "0.5", "--alpha-l", "-1"],
                  ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--alpha-l", "nan"],
-                 ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--alpha-l", "inf"]):
+                 ["--sigma", "0.5", "--d", "16", "--p", "0.5", "--alpha-l", "inf"],
+                 ["--sigma", "1.5", "--d", "2", "--p", ""],
+                 ["--sigma", "0.5", "--d", "16", "--p", ","]):
         assert main(["verify", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -1,0 +1,130 @@
+"""dgd2p's direction stream: bit for bit the per-round sphere draws, in line
+or drawn ahead on a worker thread, and no worker outlives ``run``."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+
+import dzo.algorithms as alg
+import dzo.estimators as est
+from dzo.algorithms import Schedule, StopRule, run
+from dzo.estimators import BLOCK_BYTES, directions, sphere
+from dzo.network import build_topology
+from dzo.oracle import make_benchmark
+
+
+def block_rounds(n, d):
+    return max(1, BLOCK_BYTES // (8 * n * d))
+
+
+def worker(pooled):
+    return ThreadPoolExecutor(max_workers=1) if pooled else nullcontext()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("n, d", [(50, 64), (1000, 16)])
+def test_stream_equals_per_round_sphere(n, d, pooled):
+    count = 3 * block_rounds(n, d) + 1
+    ref = np.random.default_rng(11)
+    want = [sphere(ref, n, d) for _ in range(count)]
+    rng = np.random.default_rng(11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # pass the interpreter lock between threads often
+    try:
+        with worker(pooled) as pool:
+            stream = directions(rng, n, d, pool)
+            got = [next(stream) for _ in range(count)]   # every array kept alive
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.shape == (n, d) and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class ZeroRowBlock:
+    """A generator whose first block draw (an out= fill) comes back with an
+    all-zero row; every other draw is the wrapped generator's."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.bit_generator = self.inner.bit_generator
+        self.zeroed = False
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.inner.standard_normal(size)
+        self.inner.standard_normal(out=out)
+        if not self.zeroed:
+            out[1, 2] = 0.0
+            self.zeroed = True
+        return out
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_zero_row_block_falls_back_to_sphere(pooled):
+    n, d = 4, 3
+    count = block_rounds(n, d)
+    ref = np.random.default_rng(5)
+    want = [sphere(ref, n, d) for _ in range(count)]
+    rng = ZeroRowBlock(5)
+    with worker(pooled) as pool:
+        stream = directions(rng, n, d, pool)
+        got = [next(stream) for _ in range(count)]
+    assert rng.zeroed
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    if pooled:   # the worker has drawn the next block too, without a zero row
+        for _ in range(count):
+            sphere(ref, n, d)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def dgd2p_run(rounds=20):
+    return run("dgd2p", build_topology("ring", 6), make_benchmark(6, 5, seed=2),
+               Schedule(step_size=0.05), StopRule("rounds", rounds), seed=3)
+
+
+def test_no_thread_outlives_a_complete_run():
+    before = threading.active_count()
+    rows = dgd2p_run()
+    assert len(rows) == 20
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_failing_run(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    compute = alg.compute_metrics
+
+    def failing(state):
+        if state.k == 3:
+            raise Stop("round 3")
+        return compute(state)
+
+    monkeypatch.setattr(alg, "compute_metrics", failing)
+    before = threading.active_count()
+    with pytest.raises(Stop, match="round 3"):
+        dgd2p_run()
+    assert threading.active_count() == before
+
+
+def test_worker_exception_surfaces_from_run(monkeypatch):
+    boom = RuntimeError("draw failed")
+    fill = est._fill_block
+    calls = []
+
+    def failing(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise boom
+        return fill(*args)
+
+    monkeypatch.setattr(est, "_fill_block", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        dgd2p_run(rounds=block_rounds(6, 5) + 1)
+    assert err.value is boom
+    assert all(t is not threading.main_thread() for t in calls)
+    assert threading.active_count() == before

@@ -137,6 +137,11 @@ def test_step_size_table():
                  ([0.5], [16], [0.5], 0.0), ([0.5], [16], [0.5], 1.0, -1.0)):
         with pytest.raises(ValueError):
             step_size_table(*args)
+    # An empty axis raises, naming the axis, whatever the other axes hold.
+    for name, args in (("sigma", ([], [2], [0.5])), ("d", ([1.5], [], [0.5])),
+                       ("p", ([0.5], [16], []))):
+        with pytest.raises(ValueError, match=f"the {name} grid is empty"):
+            step_size_table(*args, 1.0)
 
 
 # (sigma, d, alpha_l): the matrix entries in closed form, and the
