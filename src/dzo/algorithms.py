@@ -17,9 +17,14 @@ gt2d and vrgt share one gradient-tracking round (DIGing) fed by different
 estimates.  Every step takes ``(state, w, schedule)`` and reads the oracle,
 rng and vrgt's refresh policy from the state its ``init_<name>`` built.
 
-``run`` records one ``MetricsRow`` per round through ``compute_metrics``:
-the stationarity gap, the consensus error and, for the tracked algorithms,
-the tracking error, all from analytic gradients (never counted as queries).
+``run`` records one ``MetricsRow`` per round: the stationarity gap, the
+consensus error and, for the tracked algorithms, the tracking error, all
+from analytic gradients (never counted as queries).  ``compute_metrics``
+evaluates a stack of rounds' states at once.  ``run`` copies each round's x
+(and s) into a stack allocated once per run, and evaluates it when it is
+full or the run ends; a state too large for a useful stack is evaluated in
+place each round.  Either way each row is, bit for bit, what its round's
+state gives alone, and a non-finite one raises with its round.
 """
 
 from __future__ import annotations
@@ -27,16 +32,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimators import SnapshotBlock, check_policy, directions, sweep, two_point, vr_estimate
+from .estimators import (SnapshotBlock, check_policy, directions, mapped, sweep, two_point,
+                         vr_estimate)
 from .network import MixingMatrix, Topology, metropolis_weights
 from .oracle import ObjectiveSpec, ZerothOrderOracle
 
 ALGORITHMS = ("dgd2p", "gt2d", "vrgt")
 STOP_KINDS = ("rounds", "queries")
+_STACK_BYTES = 1 << 18   # rounds' states held for one compute_metrics call
+_MIN_STACK = 4           # a smaller stack is slower than none
 
 
 @dataclass(frozen=True)
@@ -134,24 +142,76 @@ class MetricsRow:
             raise ValueError(f"non-finite metrics at round {self.k}")
 
 
-def compute_metrics(state: RunState) -> MetricsRow:
-    """Stationarity gap ||grad f(xbar)||^2, mean squared consensus error,
-    and (for tracked algorithms) mean squared tracker error against
-    grad f(xbar), for the objective of the state's oracle."""
-    n = state.x.shape[0]
-    xbar = np.add.reduce(state.x, axis=0) / n   # what x.mean(axis=0) computes
-    grad = state.oracle.spec.global_grad(xbar)
-    stat_gap = float(grad @ grad)
-    # numpy's pairwise sums: BLAS ddot's bits depend on its thread count.
-    dx = state.x - xbar
-    consensus = float(np.square(dx, out=dx).sum()) / n
-    tracking = None
-    if state.s is not None:
-        ds = state.s - grad
-        tracking = float(np.square(ds, out=ds).sum()) / n
-    return MetricsRow(k=state.k, m=state.oracle.total_queries,
-                      stat_gap=stat_gap, consensus_err=consensus,
-                      tracking_err=tracking)
+def compute_metrics(spec: ObjectiveSpec, x: np.ndarray, s: np.ndarray | None,
+                    k: Sequence[int], m: Sequence[int],
+                    scratch: np.ndarray | None = None) -> list[MetricsRow]:
+    """One MetricsRow per state of a stack of K rounds: x, (K, N, d), their
+    iterates, s their trackers (None for untracked algorithms), k and m their
+    round indices and query counts.  Each row holds the stationarity gap
+    ||grad f(xbar)||^2, the mean squared consensus error and, with s, the
+    mean squared tracker error against grad f(xbar), bit for bit what its
+    state gives alone.  The deviations are written to scratch, an array of
+    x's shape that may be x itself (it is then overwritten), or to a fresh
+    array when scratch is None."""
+    rounds, n = x.shape[:2]
+    xbar = np.add.reduce(x, axis=1) / n   # what x.mean(axis=1) computes
+    grad = spec.global_grad(xbar)
+    stat_gap = np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0]   # grad @ grad per round
+    # numpy's pairwise sum of each round's contiguous squares: BLAS ddot's
+    # bits depend on its thread count.
+    dev = np.subtract(x, xbar[:, None], out=scratch)
+    consensus = np.square(dev, out=dev).reshape(rounds, -1).sum(axis=1) / n
+    tracking = [None] * rounds
+    if s is not None:
+        dev = np.subtract(s, grad[:, None], out=dev)
+        tracking = (np.square(dev, out=dev).reshape(rounds, -1).sum(axis=1) / n).tolist()
+    return [MetricsRow(k=ki, m=mi, stat_gap=g, consensus_err=c, tracking_err=t)
+            for ki, mi, g, c, t in zip(k, m, stat_gap.tolist(), consensus.tolist(), tracking)]
+
+
+class _Stack:
+    """Successive rounds' states, evaluated by one compute_metrics call.
+
+    depth rounds of x (and s) are copied into buffers allocated once per run
+    and reused.  A state too large for a useful depth is evaluated in place
+    each round, unstacked, with a one-round x buffer taking its deviations:
+    copying it cost more than the calls it saved."""
+
+    def __init__(self, state: RunState):
+        n, d = state.x.shape
+        tracked = state.s is not None
+        depth = _STACK_BYTES // (state.x.nbytes * (1 + tracked))
+        self.depth = depth if depth >= _MIN_STACK else 0
+        self.spec = state.oracle.spec
+        self.x = mapped(max(self.depth, 1), n, d)
+        self.s = mapped(self.depth, n, d) if self.depth and tracked else None
+        self.k: list[int] = []
+        self.m: list[int] = []
+
+    def push(self, state: RunState) -> list[MetricsRow]:
+        """Hold the state's round; the rows of the held rounds once the
+        stack is full, else none."""
+        total = state.oracle.total_queries
+        if not self.depth:
+            s = None if state.s is None else state.s[None]
+            return compute_metrics(self.spec, state.x[None], s, (state.k,), (total,),
+                                   scratch=self.x)
+        i = len(self.k)
+        self.x[i] = state.x
+        if self.s is not None:
+            self.s[i] = state.s
+        self.k.append(state.k)
+        self.m.append(total)
+        return self.flush() if i + 1 == self.depth else []
+
+    def flush(self) -> list[MetricsRow]:
+        """The rows of the held rounds, which the stack then drops."""
+        held = len(self.k)
+        if not held:
+            return []
+        x, s = self.x[:held], None if self.s is None else self.s[:held]
+        k, m, self.k, self.m = self.k, self.m, [], []
+        return compute_metrics(self.spec, x, s, k, m, scratch=x)
 
 
 def init_dgd2p(oracle: ZerothOrderOracle, x0: np.ndarray,
@@ -166,7 +226,7 @@ def init_gt2d(oracle: ZerothOrderOracle, x0: np.ndarray, schedule: Schedule,
               rng: np.random.Generator) -> RunState:
     """Seed the tracker with the round-0 sweep (2d queries per agent) so the
     tracking identity holds from the start."""
-    g0 = sweep(oracle, np.arange(len(x0)), x0, schedule.smoothing_at(0))
+    g0 = sweep(oracle, oracle.every_agent, x0, schedule.smoothing_at(0))
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng, s=g0.copy(), g_prev=g0)
 
 
@@ -187,7 +247,7 @@ def dgd2p_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState
     """Mixed descent along fresh two-point estimates; 2 queries per agent."""
     u = schedule.smoothing_at(state.k)
     eta = schedule.step_size_at(state.k)
-    grad_est = two_point(state.oracle, np.arange(len(state.x)), state.x, u,
+    grad_est = two_point(state.oracle, state.oracle.every_agent, state.x, u,
                          next(state.directions))
     state.x = w.apply(state.x - eta * grad_est)
     state.k += 1
@@ -213,7 +273,7 @@ def _track(state: RunState, w: MixingMatrix, schedule: Schedule,
 def gt2d_step(state: RunState, w: MixingMatrix, schedule: Schedule) -> RunState:
     """Tracked descent with a fresh full sweep at the new iterate; 2d queries
     per agent (the previous sweep is reused, not recomputed)."""
-    rows = np.arange(len(state.x))
+    rows = state.oracle.every_agent
     return _track(state, w, schedule, lambda x, u: sweep(state.oracle, rows, x, u))
 
 
@@ -287,10 +347,12 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         pool = ThreadPoolExecutor(max_workers=1)
         state.directions = directions(rng, *x0.shape, pool)
     rows: list[MetricsRow] = []
+    stack = _Stack(state)
     try:
         while (state.k if stop.kind == "rounds" else oracle.total_queries) < stop.limit:
             step(state, w, schedule)
-            rows.append(compute_metrics(state))
+            rows += stack.push(state)
+        rows += stack.flush()
     finally:
         if pool is not None:
             pool.shutdown()

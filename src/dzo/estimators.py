@@ -1,9 +1,10 @@
 """Zeroth-order gradient estimators, batched over stacked agent rows.
 
 Each estimator takes one point per row, ``x`` of shape (n, d), row i
-belonging to agent ``rows[i]`` (agent i where no ``rows`` is taken), and
-charges the oracle through ``ZerothOrderOracle.evaluate_rows``: 2 queries
-per row for ``two_point`` and ``coord_pair``, 2d for ``sweep``.  Sweeps and
+belonging to agent ``rows[i]`` (agent i where no ``rows`` is taken; callers
+pass the oracle's ``every_agent`` for every agent in order), and charges
+the oracle through ``ZerothOrderOracle.evaluate_rows``: 2 queries per row
+for ``two_point`` and ``coord_pair``, 2d for ``sweep``.  Sweeps and
 coordinate pairs share one ±u·e_l stencil: one ``Stencil``, checked when it
 is built, passed to the oracle, which charges it like the points it stands
 for and evaluates it through the objective's rank-1 structure, so no sweep
@@ -20,6 +21,7 @@ refresh probability p); ``cached`` serves it from the stored sweep
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -72,6 +74,16 @@ def _fill_block(rng: np.random.Generator, z: np.ndarray, sq: np.ndarray) -> np.n
     return z
 
 
+def mapped(*shape: int) -> np.ndarray:
+    """A float array on anonymous pages of its own, unmapped when dropped.
+    For buffers reused through a run: freeing a malloc block this large
+    raises glibc's mmap threshold, and the heap it leaves raised repeated
+    runs' peak RSS."""
+    import mmap   # not loaded by `import dzo`
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
 def directions(rng: np.random.Generator, n: int, d: int, pool=None) -> Iterator[np.ndarray]:
     """Endless per-round (n, d) unit directions, bit for bit those of
     successive sphere(rng, n, d) calls.
@@ -81,22 +93,13 @@ def directions(rng: np.random.Generator, n: int, d: int, pool=None) -> Iterator[
     block while the current one is consumed, and is then the only caller of
     rng; a worker's exception surfaces from next().  Each round is yielded
     as a copy, so it stays valid while the block buffers are reused."""
-    import mmap   # not loaded by `import dzo`
-
     rounds = max(1, BLOCK_BYTES // (8 * n * d))
-
-    def buffer(r: int) -> np.ndarray:
-        # r rounds on pages of their own, unmapped when the stream is
-        # dropped.  Freeing a malloc block this large raises glibc's mmap
-        # threshold, and the heap it leaves raised repeated runs' peak RSS.
-        return np.frombuffer(mmap.mmap(-1, 8 * r * n * d)).reshape(r, n, d)
-
-    ready, sq = buffer(rounds), buffer(-(-rounds // SQUARE_PARTS))
+    ready, sq = mapped(rounds, n, d), mapped(-(-rounds // SQUARE_PARTS), n, d)
     if pool is None:
         while True:
             for z in _fill_block(rng, ready, sq):
                 yield z.copy()
-    spare = buffer(rounds)
+    spare = mapped(rounds, n, d)
     pending = pool.submit(_fill_block, rng, ready, sq)
     while True:
         ready = pending.result()
@@ -149,7 +152,7 @@ class SnapshotBlock:
     def __init__(self, oracle: ZerothOrderOracle, x: np.ndarray, u: float):
         self.x_tilde = x.copy()
         self.u_tilde = np.full(len(x), float(u))
-        self.full = sweep(oracle, np.arange(len(x)), x, u)
+        self.full = sweep(oracle, oracle.every_agent, x, u)
 
     def capture_rows(self, oracle: ZerothOrderOracle, rows: np.ndarray,
                      x_rows: np.ndarray, u: float) -> None:
@@ -168,8 +171,8 @@ def vr_estimate(oracle: ZerothOrderOracle, snap: SnapshotBlock, x: np.ndarray, u
     (x, u).  The variance bound assumes u <= u_tilde, which non-increasing
     schedules guarantee.
     """
-    n, d = x.shape
-    rows = np.arange(n)
+    d = x.shape[1]
+    rows = oracle.every_agent
     q_x = coord_pair(oracle, rows, x, u, l)
     if counting_mode == "paper_faithful":
         q_snap = coord_pair(oracle, rows, snap.x_tilde, snap.u_tilde, l)

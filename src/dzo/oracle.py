@@ -10,12 +10,15 @@ holds only its own arrays, with its maker in ``FAMILIES`` under its ``kind``:
 
 Each evaluates uncounted through ``values(agents, points)``, the (B, m)
 values of points[b, m, :] under agent agents[b], or ``stencil_values`` at a
-:class:`Stencil`'s points, checked when the stencil is built;
-``global_grad(x)``, the gradient of f = (1/N) sum_i f_i in closed form (the
-mean of the per-agent gradients up to summation order), which the metrics
-read; and ``smoothness()``, a closed-form L bounding every f_i's Hessian
-norm, which ``dzo.theory`` takes.  Algorithms may touch objectives only
-through :class:`ZerothOrderOracle`, which counts every query per agent.
+:class:`Stencil`'s points, checked when the stencil is built; agents indexes
+the family's arrays, and is ``slice(None)`` for every agent in order, which
+reads them in place.  ``global_grad(x)`` is the gradient of
+f = (1/N) sum_i f_i in closed form (the mean of the per-agent gradients up
+to summation order) at each point of x, (..., d): the metrics read it, and
+a stack of points gives, bit for bit, what each point gives alone.
+``smoothness()`` is a closed-form L bounding every f_i's Hessian norm, which
+``dzo.theory`` takes.  Algorithms may touch objectives only through
+:class:`ZerothOrderOracle`, which counts every query per agent.
 """
 
 from __future__ import annotations
@@ -128,9 +131,11 @@ class Benchmark(ObjectiveSpec):
             + self.beta[agents][:, None] * np.log1p(st.pm(sq, 2.0 * st.take(st.x)))
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        sig = _sigmoid(self.zeta @ x + self.v)
-        return ((self.alpha * sig * (1.0 - sig)) @ self.zeta
-                + (2.0 * self.beta.sum() / (1.0 + x @ x)) * x) / self.n_agents
+        # Stacked matmuls with a unit axis make the gemv and dot calls of one point.
+        sig = _sigmoid(np.matmul(self.zeta, x[..., None])[..., 0] + self.v)
+        xx = np.matmul(x[..., None, :], x[..., None])[..., 0]
+        return (np.matmul((self.alpha * sig * (1.0 - sig))[..., None, :], self.zeta)[..., 0, :]
+                + (2.0 * self.beta.sum() / (1.0 + xx)) * x) / self.n_agents
 
     def smoothness(self) -> float:
         """max_i |alpha_i| |zeta_i|^2 / (6 sqrt(3)) + 2 |beta_i|: |sigmoid''| peaks
@@ -166,21 +171,15 @@ class Quadratic(ObjectiveSpec):
         the network gradient at x is the first times x minus the second."""
         return self.quad.mean(axis=0), np.einsum("nij,nj->i", self.quad, self.shift) / self.n_agents
 
-    def _rows(self, agents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_agents
-        if agents.shape[0] == n and np.array_equal(agents, np.arange(n)):
-            return self.quad, self.shift            # every agent in order: no gather
-        return self.quad[agents], self.shift[agents]
-
     def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
-        quad, shift = self._rows(agents)
+        quad, shift = self.quad[agents], self.shift[agents]
         diff = points - shift[:, None, :]
         # d^T Q d read as (d^T Q) . d, so matmul takes Q as stored, contiguous.
         return 0.5 * np.einsum("bmi,bmi->bm", diff, np.matmul(diff, quad))
 
     def stencil_values(self, agents: np.ndarray, st: Stencil) -> np.ndarray:
         # 1/2 d^T Q d ± u·(d^T Q)_l + 1/2 u^2·Q_ll with d = x - shift.
-        quad, shift = self._rows(agents)
+        quad, shift = self.quad[agents], self.shift[agents]
         diff = st.x - shift
         dq = np.matmul(diff[:, None, :], quad)[:, 0]
         base = 0.5 * np.einsum("bi,bi->b", diff, dq)[:, None]
@@ -189,7 +188,7 @@ class Quadratic(ObjectiveSpec):
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         qbar, qshift = self._moments
-        return qbar @ x - qshift
+        return np.matmul(qbar, x[..., None])[..., 0] - qshift
 
     def smoothness(self) -> float:
         """max_i ||Q_i||_2, the largest eigenvalue of a PSD Q_i: exact."""
@@ -213,7 +212,7 @@ class Linear(ObjectiveSpec):
         return st.pm(np.einsum("bd,bd->b", st.x, c)[:, None], st.take(c))
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.coef.mean(axis=0)
+        return np.broadcast_to(self.coef.mean(axis=0), np.shape(x))
 
     def smoothness(self) -> float:
         return 0.0
@@ -254,15 +253,16 @@ class ZerothOrderOracle:
 
     query_count[i] increments by exactly one per point evaluated for agent
     i, monotonically; a run owns its oracle and counters are never reset.
+    total_queries is their sum, kept as a running count.  every_agent is a
+    read-only arange(N): callers pass that object for every agent in order.
     """
 
     def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
         self.query_count = np.zeros(spec.n_agents, dtype=np.int64)
-
-    @property
-    def total_queries(self) -> int:
-        return int(self.query_count.sum())
+        self.total_queries = 0
+        self.every_agent = np.arange(spec.n_agents)
+        self.every_agent.setflags(write=False)
 
     def evaluate_rows(self, agents: np.ndarray, points) -> np.ndarray:
         """Batched queries: points[b, m, :] against agent agents[b]; (B, m).
@@ -271,12 +271,17 @@ class ZerothOrderOracle:
         each of its m points charges one query to the owning agent.  Rows that
         are not a 1-D integer array, or a row outside [0, N), raise IndexError
         and points of another shape ValueError, before any query is charged.
+        every_agent itself, recognised by identity, needs no row checks or
+        gathers: each agent is charged m at once and the family reads its
+        arrays in place.
         """
-        agents = np.asarray(agents)
-        if agents.ndim != 1 or (agents.size and agents.dtype.kind not in "iu"):
-            raise IndexError(f"agent rows must be a 1-D integer array, got {agents.dtype} "
-                             f"of shape {agents.shape}")
-        agents = agents.astype(np.int64, copy=False)
+        every = agents is self.every_agent
+        if not every:
+            agents = np.asarray(agents)
+            if agents.ndim != 1 or (agents.size and agents.dtype.kind not in "iu"):
+                raise IndexError(f"agent rows must be a 1-D integer array, got {agents.dtype} "
+                                 f"of shape {agents.shape}")
+            agents = agents.astype(np.int64, copy=False)
         if isinstance(points, Stencil):
             values = self.spec.stencil_values
         else:
@@ -285,9 +290,13 @@ class ZerothOrderOracle:
         if len(shape) != 3 or shape[0] != agents.shape[0] or shape[2] != self.spec.dim:
             raise ValueError(f"points must be (B, m, {self.spec.dim}) with B = "
                              f"{agents.shape[0]} rows for the agents, got {shape}")
-        if agents.size and agents.min() < 0:
-            raise IndexError(f"agent rows must be in [0, {self.spec.n_agents}), "
-                             f"got {agents.min()}")
-        np.add.at(self.query_count, agents, shape[1])
+        if every:
+            self.query_count += shape[1]
+            agents = slice(None)
+        else:
+            if agents.size and agents.min() < 0:
+                raise IndexError(f"agent rows must be in [0, {self.spec.n_agents}), "
+                                 f"got {agents.min()}")
+            np.add.at(self.query_count, agents, shape[1])
+        self.total_queries += shape[0] * shape[1]
         return values(agents, points)
-

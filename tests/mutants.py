@@ -108,8 +108,13 @@ MUTANTS = (
     Mutant("quadratic draw with I/2 as 0.4 I", ORACLE,
            "/ d + 0.5 * np.eye(d)", "/ d + 0.4 * np.eye(d)"),
     Mutant("consensus sum back through BLAS", ALG,
-           "consensus = float(np.square(dx, out=dx).sum()) / n",
-           "consensus = float(dx.ravel() @ dx.ravel()) / n"),
+           "consensus = np.square(dev, out=dev).reshape(rounds, -1).sum(axis=1) / n",
+           "consensus = np.matmul(dev.reshape(rounds, 1, -1),"
+           " dev.reshape(rounds, -1, 1))[:, 0, 0] / n"),
+    Mutant("stack reads the previous round's state", ALG, "self.x[i] = state.x",
+           "self.x[i] = self.x[i - 1]"),
+    Mutant("every-agent path charges 1 query, not m", ORACLE,
+           "self.query_count += shape[1]", "self.query_count += 1"),
     Mutant("prefetch normalises over the wrong axis", EST, "axis=-1, keepdims=True",
            "axis=1, keepdims=True"),
     Mutant("fallback keeps the advanced generator state", EST,

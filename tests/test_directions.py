@@ -98,10 +98,10 @@ def test_no_thread_outlives_a_failing_run(monkeypatch):
 
     compute = alg.compute_metrics
 
-    def failing(state):
-        if state.k == 3:
+    def failing(spec, x, s, k, m, **kwargs):
+        if 3 in k:
             raise Stop("round 3")
-        return compute(state)
+        return compute(spec, x, s, k, m, **kwargs)
 
     monkeypatch.setattr(alg, "compute_metrics", failing)
     before = threading.active_count()

@@ -376,13 +376,14 @@ def test_coord_pair_rejects_a_malformed_stencil_before_any_query():
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_all_agent_sweep_memory_is_bounded(kind):
     # The dense (50, 600, 300) point tensor alone is 72 MB; the rank-1 sweep
-    # peaked at 1.0 (benchmark and quadratic) and 0.8 MiB (linear).
+    # peaked at 1.0 (benchmark and quadratic) and 0.8 MiB (linear).  Every
+    # agent is the oracle's every_agent: explicit rows gather their Q_i.
     n, d = 50, 300
     oracle = ZerothOrderOracle(FAMILIES[kind](n, d, seed=0))
     x = np.random.default_rng(0).standard_normal((n, d))
     tracemalloc.start()
     try:
-        sweep(oracle, np.arange(n), x, 0.1)
+        sweep(oracle, oracle.every_agent, x, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -43,6 +43,14 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def metrics_of(state):
+    """compute_metrics on a stack of the one state."""
+    s = None if state.s is None else state.s[None]
+    [row] = compute_metrics(state.oracle.spec, state.x[None], s, [state.k],
+                            [state.oracle.total_queries])
+    return row
+
+
 def make_state(x, s=None, spec=None):
     spec = spec or diagonal_quadratic(x.shape[0], x.shape[1])
     return RunState(k=3, x=x, oracle=ZerothOrderOracle(spec),
@@ -52,7 +60,7 @@ def make_state(x, s=None, spec=None):
 def test_compute_metrics_consensus_and_stationarity():
     spec = diagonal_quadratic(2, 2)
     state = make_state(np.array([[1.0, 0.0], [-1.0, 0.0]]), spec=spec)
-    row = compute_metrics(state)
+    row = metrics_of(state)
     assert row.consensus_err == pytest.approx(1.0, abs=1e-15)
     assert row.stat_gap == pytest.approx(0.0, abs=1e-15)  # mean is the minimizer
     assert row.tracking_err is None
@@ -61,7 +69,7 @@ def test_compute_metrics_consensus_and_stationarity():
 def test_compute_metrics_zero_at_shared_stationary_point():
     spec = diagonal_quadratic(3, 2)
     state = make_state(np.zeros((3, 2)), spec=spec)
-    row = compute_metrics(state)
+    row = metrics_of(state)
     assert row.stat_gap == 0.0 and row.consensus_err == 0.0
 
 
@@ -70,14 +78,14 @@ def test_compute_metrics_tracking_error():
     x = np.tile([0.5, -1.0], (2, 1))
     state = make_state(x, s=x.copy(), spec=spec)
     # the quadratic's global gradient at xbar equals xbar, so s_i = xbar tracks
-    assert compute_metrics(state).tracking_err == pytest.approx(0.0, abs=1e-15)
+    assert metrics_of(state).tracking_err == pytest.approx(0.0, abs=1e-15)
 
 
 def test_compute_metrics_purity():
     spec = make_benchmark(3, 4, seed=1)
     state = make_state(np.random.default_rng(0).standard_normal((3, 4)), spec=spec)
     before = state.oracle.total_queries
-    compute_metrics(state)
+    metrics_of(state)
     assert state.oracle.total_queries == before
 
 

@@ -174,8 +174,8 @@ ROW_LISTS = {   # for n >= 2 agents
 
 @pytest.mark.parametrize("name", sorted(ROW_LISTS))
 def test_quadratic_row_lists(name):
-    # Only every agent in order is read from the spec in place; any other
-    # row list gathers.  An agent's values must not depend on which ran.
+    # Explicit rows gather the agents' arrays; only the oracle's every_agent
+    # reads them in place.  An agent's values must not depend on which ran.
     rng = np.random.default_rng(10)
     seeded = make_quadratic(5, 4, seed=3)
     seeded = replace(seeded, shift=rng.standard_normal((5, 4)))
@@ -195,6 +195,55 @@ def test_quadratic_row_lists(name):
                 want = 0.5 * math.fsum(diff[i] * q[i, j] * diff[j]
                                        for i in range(spec.dim) for j in range(spec.dim))
                 assert values[b, m] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def every_agent_points(spec, rng):
+    """Dense points, a full sweep's stencil and a per-row pair stencil."""
+    n, d = spec.n_agents, spec.dim
+    x = rng.standard_normal((n, d))
+    return [rng.standard_normal((n, 3, d)), Stencil(x, 0.1, np.arange(d)[None]),
+            Stencil(x, rng.uniform(0.05, 0.2, n), rng.integers(0, d, (n, 2)))]
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_every_agent_path_equals_explicit_rows(kind):
+    rng = np.random.default_rng(12)
+    spec = FAMILIES[kind](5, 4, seed=3)
+    if kind == "quadratic":
+        spec = replace(spec, shift=rng.standard_normal((5, 4)))
+    for points in every_agent_points(spec, rng):
+        fast, explicit = ZerothOrderOracle(spec), ZerothOrderOracle(spec)
+        got = fast.evaluate_rows(fast.every_agent, points)
+        want = explicit.evaluate_rows(np.arange(5), points)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(fast.query_count, explicit.query_count)
+        assert fast.total_queries == explicit.total_queries == 5 * points.shape[1]
+
+
+def test_every_agent_path_rejects_bad_points_before_any_query():
+    oracle = ZerothOrderOracle(make_benchmark(3, 3, seed=0))
+    every = oracle.every_agent
+    assert not every.flags.writeable
+    for bad in (np.zeros((3, 3)),                                        # 2-D points
+                np.zeros((2, 1, 3)), np.zeros((3, 1, 2)),                # rows, dimension
+                Stencil(np.zeros((2, 3)), 0.1, np.arange(3)[None]),      # 2 rows for 3 agents
+                Stencil(np.zeros((3, 2)), 0.1, np.arange(2)[None])):     # d = 2, not 3
+        with pytest.raises(ValueError, match="points must be"):
+            oracle.evaluate_rows(every, bad)
+    assert oracle.total_queries == 0 and not oracle.query_count.any()
+
+
+def test_total_queries_is_the_sum_of_the_counters():
+    oracle = ZerothOrderOracle(make_linear(4, 3, seed=0))
+    oracle.evaluate_rows(oracle.every_agent, np.zeros((4, 2, 3)))
+    oracle.evaluate_rows(np.array([0, 0, 2]), np.zeros((3, 5, 3)))
+    oracle.evaluate_rows(oracle.every_agent, Stencil(np.zeros((4, 3)), 0.1, np.arange(3)[None]))
+    oracle.evaluate_rows([1], Stencil(np.zeros((1, 3)), 0.1, np.zeros((1, 1), dtype=int)))
+    oracle.evaluate_rows(np.arange(4), np.zeros((4, 1, 3)))   # equal to every_agent, not it
+    with pytest.raises(IndexError):
+        oracle.evaluate_rows(np.array([0, 4]), np.zeros((2, 1, 3)))
+    np.testing.assert_array_equal(oracle.query_count, [19, 11, 14, 9])
+    assert oracle.total_queries == oracle.query_count.sum() == 53
 
 
 @pytest.mark.parametrize("maker", [
