@@ -29,6 +29,7 @@ state gives alone, and a non-finite one raises with its round.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -309,7 +310,9 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
     derives one stream for the initial point and one consumed by the rounds
     in a fixed order.  dgd2p's directions are drawn a block ahead on one
     worker thread, the only user of that stream, so the order is the
-    in-line one; the thread is joined before run returns or raises.  All
+    in-line one; the thread is joined before run returns or raises.  An
+    error in the block drawn ahead but never used is raised too, unless the
+    run is already raising its own.  All
     agents start from the same point unless heterogeneous_x0 is set.  A
     queries stop rule that initialization alone meets raises ValueError,
     since no round would run.
@@ -353,6 +356,14 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
             step(state, w, schedule)
             rows += stack.push(state)
         rows += stack.flush()
+    except BaseException:
+        if pool is not None:
+            with contextlib.suppress(Exception):   # the run's own error is the one raised
+                state.directions.close()
+        raise
+    else:
+        if pool is not None:
+            state.directions.close()   # raises an error of the block drawn in flight
     finally:
         if pool is not None:
             pool.shutdown()

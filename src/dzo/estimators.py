@@ -91,8 +91,9 @@ def directions(rng: np.random.Generator, n: int, d: int, pool=None) -> Iterator[
     Each block of about BLOCK_BYTES of rounds is one draw and one
     normalisation.  With an executor as pool, its one worker draws the next
     block while the current one is consumed, and is then the only caller of
-    rng; a worker's exception surfaces from next().  Each round is yielded
-    as a copy, so it stays valid while the block buffers are reused."""
+    rng; a worker's exception surfaces from next(), or from close() when
+    it was raised drawing the block in flight.  Each round is yielded as a
+    copy, so it stays valid while the block buffers are reused."""
     rounds = max(1, BLOCK_BYTES // (8 * n * d))
     ready, sq = mapped(rounds, n, d), mapped(-(-rounds // SQUARE_PARTS), n, d)
     if pool is None:
@@ -101,12 +102,16 @@ def directions(rng: np.random.Generator, n: int, d: int, pool=None) -> Iterator[
                 yield z.copy()
     spare = mapped(rounds, n, d)
     pending = pool.submit(_fill_block, rng, ready, sq)
-    while True:
-        ready = pending.result()
-        pending = pool.submit(_fill_block, rng, spare, sq)
-        for z in ready:
-            yield z.copy()
-        spare = ready
+    try:
+        while True:
+            ready = pending.result()
+            pending = pool.submit(_fill_block, rng, spare, sq)
+            for z in ready:
+                yield z.copy()
+            spare = ready
+    except GeneratorExit:
+        pending.result()
+        raise
 
 
 def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: float,

@@ -17,6 +17,8 @@ import numpy as np
 TopologyKind = ("ring", "path", "complete", "erdos_renyi", "grid")
 
 _STOCH_TOL = 1e-12
+# Rows per block where an N x N array is drawn or checked a part at a time.
+_ROW_BLOCK = 64
 # apply() uses the neighbour list when this many times the widest row's
 # nonzero count still fits in N (see MixingMatrix).
 _ELL_SPARSITY = 20
@@ -52,6 +54,8 @@ class Topology:
     @cached_property
     def _metropolis(self) -> MixingMatrix:
         # Built on first read and kept on this instance; see metropolis_weights.
+        # W is written in place and handed over uncopied: the build's one
+        # N x N array.
         n = self.n_agents
         e = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
         deg = np.bincount(e.ravel(), minlength=n)
@@ -59,19 +63,30 @@ class Topology:
         w = np.zeros((n, n))
         w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
         np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-        return MixingMatrix(w=w)
+        return MixingMatrix(w=w.view(_Built))
+
+
+class _Built(np.ndarray):
+    """Marks a W built in this module, to which nothing else holds a
+    reference: MixingMatrix keeps it without a copy."""
 
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Symmetric doubly stochastic weights with contraction rate sigma.
 
-    sigma is the largest singular value of W - (1/N) 11^T.  It is computed
-    on first read and cached, so building W and mixing with it do no O(N^3)
-    work.  Validation rejects matrices that are not square, finite and
-    symmetric, or whose row or column sums deviate from 1 by more than
-    1e-12.  sigma itself is not checked: it may equal 1 (e.g. for the
-    identity), and such a matrix does not contract.
+    sigma is the largest singular value of W - (1/N) 11^T, read from W's
+    eigenvalues.  It is computed on first read and cached, so building W
+    and mixing with it do no O(N^3) work.  Validation rejects matrices that
+    are not square, finite and symmetric, or whose row or column sums
+    deviate from 1 by more than 1e-12.  Finiteness and symmetry are checked
+    one fixed block of rows at a time, so no temporary of W's size is made.
+    sigma itself is not checked: it may equal 1 (e.g. for the identity),
+    and such a matrix does not contract.
+
+    An array passed in is copied, so changing it later leaves `w` as it
+    was; `w` is read-only.  Only the W that metropolis_weights builds is
+    kept without a copy.
 
     `w` is always the dense matrix; `apply` (alias `mix`) is the one checked
     product with a stacked (N, d) state.  On first use it fixes the product
@@ -89,18 +104,22 @@ class MixingMatrix:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
+        w = np.asarray(self.w) if type(self.w) is _Built else np.array(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight matrix has non-finite entries")
+        asym = 0.0   # max |W - W^T|, raised on after the sums are checked
+        for r in range(0, len(w), _ROW_BLOCK):
+            block = w[r:r + _ROW_BLOCK]
+            if not np.isfinite(block).all():
+                raise ValueError("weight matrix has non-finite entries")
+            diff = np.subtract(block, w[:, r:r + _ROW_BLOCK].T)
+            asym = max(asym, float(np.abs(diff, out=diff).max()))
         rows = w.sum(axis=1)
         cols = w.sum(axis=0)
         if np.max(np.abs(rows - 1.0)) > _STOCH_TOL or np.max(np.abs(cols - 1.0)) > _STOCH_TOL:
             raise ValueError("weight matrix is not doubly stochastic to 1e-12")
-        if np.max(np.abs(w - w.T)) > _STOCH_TOL:
+        if asym > _STOCH_TOL:
             raise ValueError("weight matrix is not symmetric")
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -108,8 +127,12 @@ class MixingMatrix:
     def sigma(self) -> float:
         # sigma < 1 is guaranteed for weights built from a connected graph
         # with positive diagonal; arbitrary matrices (e.g. the identity) may
-        # sit at 1 and simply do not contract.
-        return float(np.linalg.svd(self.w - 1.0 / self.n_agents, compute_uv=False)[0])
+        # sit at 1 and simply do not contract.  W is symmetric with W 1 = 1,
+        # so W - 11^T/N has W's eigenvalues with the all-ones vector's 1
+        # replaced by 0, and sigma is the largest of their magnitudes.
+        eig = np.linalg.eigvalsh(self.w)
+        eig = np.delete(eig, np.argmin(np.abs(eig - 1.0)))
+        return float(np.abs(eig).max(initial=0.0))
 
     @property
     def n_agents(self) -> int:
@@ -180,6 +203,19 @@ def _lattice_edges(kind: str, n: int) -> list[tuple[int, int]]:
     return edges + [(0, n - 1)] if kind == "ring" else edges
 
 
+def _erdos_renyi_edges(g: np.random.Generator, n: int, prob: float) -> list[tuple[int, int]]:
+    # Pair i < j is an edge when entry (i, j) of an (n, n) uniform draw is
+    # below prob.  The draw is taken _ROW_BLOCK rows at a time, which reads
+    # the same stream as one g.random((n, n)).
+    edges = []
+    for r in range(0, n, _ROW_BLOCK):
+        i, j = np.nonzero(g.random((min(_ROW_BLOCK, n - r), n)) < prob)
+        i += r
+        upper = j > i
+        edges += zip(i[upper].tolist(), j[upper].tolist())
+    return edges
+
+
 def check_topology(kind: str, n: int, prob: float | None) -> None:
     """Reject arguments build_topology cannot build from: n < 2, an unknown
     kind, erdos_renyi without prob in (0, 1], or a prob for any other kind."""
@@ -200,13 +236,14 @@ def build_topology(kind: str, n: int, seed: int = 0, prob: float | None = None) 
     rejects anything else.  Each candidate edge list is tried as a Topology
     and the first connected one is returned: a fixed kind has one candidate,
     its lattice, while erdos_renyi draws up to 100 with fresh derived seeds
-    and raises if none is connected.
+    and raises if none is connected.  An Erdős–Rényi candidate's (n, n)
+    uniforms are drawn one fixed block of rows at a time: the stream and
+    edges of one (n, n) draw, without holding it.
     """
     check_topology(kind, n, prob)
     if kind == "erdos_renyi":
         rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(_ER_MAX_TRIES))
-        candidates = (map(tuple, np.argwhere(np.triu(g.random((n, n)) < prob, 1)).tolist())
-                      for g in rngs)
+        candidates = (_erdos_renyi_edges(g, n, prob) for g in rngs)
     else:
         candidates = [_lattice_edges(kind, n)]
     for edges in candidates:

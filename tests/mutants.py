@@ -71,6 +71,18 @@ MUTANTS = (
            "(deg[i] + deg[j])"),
     Mutant("ELL padding weight 1", NET, "wts = np.zeros((n, 1, k))",
            "wts = np.ones((n, 1, k))"),
+    Mutant("weight checks skip the last row block", NET,
+           "for r in range(0, len(w), _ROW_BLOCK):",
+           "for r in range(0, len(w) - _ROW_BLOCK, _ROW_BLOCK):"),
+    Mutant("symmetry check reads column block 0 for every row block", NET,
+           "w[:, r:r + _ROW_BLOCK].T", "w[:, :len(block)].T"),
+    Mutant("caller's weight array kept without a copy", NET,
+           "np.array(self.w, dtype=float)", "np.asarray(self.w, dtype=float)"),
+    Mutant("sigma keeps the all-ones eigenvalue", NET,
+           "eig = np.delete(eig, np.argmin(np.abs(eig - 1.0)))", "pass"),
+    Mutant("Erdos-Renyi draw skips the last row block", NET,
+           "for r in range(0, n, _ROW_BLOCK):", "for r in range(0, n - _ROW_BLOCK, _ROW_BLOCK):"),
+    Mutant("Erdos-Renyi rows without their block offset", NET, "i += r", "i += 0"),
     Mutant("apply without its row check", NET,
            "if x.ndim != 2 or x.shape[0] != self.n_agents:", "if x.ndim != 2:"),
     Mutant("stencil without its lower coordinate bound", ORACLE,
@@ -119,6 +131,11 @@ MUTANTS = (
            "axis=1, keepdims=True"),
     Mutant("fallback keeps the advanced generator state", EST,
            "rng.bit_generator.state = state", "pass"),
+    Mutant("closing the stream drops the in-flight draw", EST,
+           "    except GeneratorExit:\n        pending.result()\n",
+           "    except GeneratorExit:\n"),
+    Mutant("an unused block's error masks the run's own", ALG,
+           "with contextlib.suppress(Exception):", "with contextlib.nullcontext():"),
 )
 
 

@@ -1,7 +1,7 @@
 """Reference functions that only tests call: uncounted per-agent values,
 gradients and Hessians, a diagonal quadratic built from explicit arrays, the
-coordinate stencil on dense points, a metrics CSV reader, and the decay-rate
-fit of criterion 10."""
+coordinate stencil on dense points, Erdős–Rényi candidates from one (n, n)
+draw, a metrics CSV reader, and the decay-rate fit of criterion 10."""
 
 from __future__ import annotations
 
@@ -85,6 +85,14 @@ def dense_stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
     m = coords.shape[1]
     vals = oracle.evaluate_rows(rows, stencil_points(x, u, coords))
     return (vals[:, :m] - vals[:, m:]) / (2.0 * np.reshape(u, (-1, 1)))
+
+
+def erdos_renyi_candidates(n: int, seed: int, prob: float):
+    """build_topology's Erdős–Rényi candidate edge sets, each from one
+    (n, n) uniform draw: for each of 100 generators spawned from seed, the
+    pairs i < j whose entry falls below prob."""
+    for g in map(np.random.default_rng, np.random.SeedSequence(seed).spawn(100)):
+        yield frozenset(map(tuple, np.argwhere(np.triu(g.random((n, n)) < prob, 1)).tolist()))
 
 
 def read_csv(path: str | Path) -> list[MetricsRow]:

@@ -128,3 +128,49 @@ def test_worker_exception_surfaces_from_run(monkeypatch):
     assert err.value is boom
     assert all(t is not threading.main_thread() for t in calls)
     assert threading.active_count() == before
+
+
+class FailingDraw:
+    """A generator whose block draw number fail_at (an out= fill) raises;
+    every other draw is the wrapped generator's."""
+
+    def __init__(self, rng, fail_at):
+        self.inner, self.fail_at, self.draws = rng, fail_at, 0
+        self.bit_generator = rng.bit_generator
+
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            self.draws += 1
+            if self.draws == self.fail_at:
+                raise RuntimeError(f"block draw {self.draws} failed")
+        return self.inner.standard_normal(size, out=out)
+
+
+def fail_second_block(monkeypatch):
+    # The first block covers every round of dgd2p_run(block_rounds(6, 5)),
+    # so the failing draw is the one in flight when the rounds end.
+    monkeypatch.setattr(alg, "directions", lambda rng, n, d, pool=None:
+                        directions(FailingDraw(rng, 2), n, d, pool))
+
+
+def test_unused_block_error_surfaces_from_run(monkeypatch):
+    fail_second_block(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block draw 2 failed"):
+        dgd2p_run(rounds=block_rounds(6, 5))
+    assert threading.active_count() == before
+
+
+def test_unused_block_error_does_not_mask_the_run_error(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def failing(*args, **kwargs):
+        raise Stop("metrics")
+
+    fail_second_block(monkeypatch)
+    monkeypatch.setattr(alg, "compute_metrics", failing)
+    before = threading.active_count()
+    with pytest.raises(Stop, match="metrics"):
+        dgd2p_run(rounds=block_rounds(6, 5))
+    assert threading.active_count() == before

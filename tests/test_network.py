@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dzo.network import (
     mix,
 )
 from dzo.oracle import FAMILIES, make_benchmark
+from reference import erdos_renyi_candidates
 
 # Hand-derived Metropolis weights for the 3-node path (degrees 1, 2, 1).
 PATH3_W = np.array([
@@ -85,6 +87,24 @@ def test_erdos_renyi_deterministic():
     assert a.edges == b.edges
 
 
+@pytest.mark.parametrize("prob", [0.01, 0.2, 1.0])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 1000])
+def test_erdos_renyi_matches_one_shot_draw(n, prob):
+    # The draw is taken by row blocks; the edges must be those of one
+    # (n, n) draw, including the retries.  At n = 1000, prob = 0.01, seed
+    # 48's first candidate is disconnected and its second is connected.
+    seed = 48
+    first = next(((k, e) for k, e in enumerate(erdos_renyi_candidates(n, seed, prob))
+                  if bfs_connected(n, e)), None)
+    if (n, prob) == (1000, 0.01):
+        assert first[0] == 1
+    if first is None:
+        with pytest.raises(DisconnectedGraphError, match="no connected Erdos-Renyi sample"):
+            build_topology("erdos_renyi", n, seed=seed, prob=prob)
+    else:
+        assert build_topology("erdos_renyi", n, seed=seed, prob=prob).edges == first[1]
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         Topology(n_agents=4, edges=frozenset({(0, 1), (2, 3)}))
@@ -143,6 +163,17 @@ def test_array_holders_compare_by_identity():
         assert table[a] == 1 and table[twin] == 2
     assert build_topology("ring", 4) == build_topology("ring", 4)
     assert hash(build_topology("ring", 4)) == hash(build_topology("ring", 4))
+
+
+@pytest.mark.parametrize("kind,n", [("ring", 9), ("path", 7), ("complete", 6), ("grid", 12),
+                                    ("erdos_renyi", 25), ("erdos_renyi", 1000)])
+def test_sigma_matches_svd(kind, n):
+    prob = {25: 0.25, 1000: 0.01}.get(n) if kind == "erdos_renyi" else None
+    w = metropolis_weights(build_topology(kind, n, seed=5, prob=prob))
+    svd = np.linalg.svd(w.w - 1.0 / n, compute_uv=False)[0]
+    assert abs(w.sigma - svd) <= 1e-12
+    for fixed, want in ((np.eye(n), 1.0), (np.full((n, n), 1.0 / n), 0.0)):
+        assert abs(MixingMatrix(fixed).sigma - want) <= 1e-12
 
 
 def test_sigma_deterministic():
@@ -262,6 +293,52 @@ def test_mixing_matrix_rejects_bad_inputs():
     # A 3-cycle permutation is doubly stochastic but not symmetric.
     with pytest.raises(ValueError, match="not symmetric"):
         MixingMatrix(np.roll(np.eye(3), 1, axis=1))
+
+
+def cycle_asymmetry(n, eps):
+    """Metropolis weights of ring(n) plus eps on the 3-cycle n-3 -> n-2 -> n-1
+    -> n-3 and -eps on its reverse: still doubly stochastic, with
+    max |W - W^T| = 2 eps, all of it in the last three rows and columns."""
+    w = metropolis_weights(build_topology("ring", n)).w.copy()
+    a, b, c = n - 3, n - 2, n - 1
+    for i, j in ((a, b), (b, c), (c, a)):
+        w[i, j] += eps
+        w[j, i] -= eps
+    return w
+
+
+def test_block_checks_reach_the_last_partial_block():
+    # 67 rows: the last row block holds rows 64..66 alone.
+    n = 67
+    with pytest.raises(ValueError, match="not symmetric"):
+        MixingMatrix(cycle_asymmetry(n, 1e-12))
+    MixingMatrix(cycle_asymmetry(n, 5e-14))
+    w = metropolis_weights(build_topology("ring", n)).w.copy()
+    w[n - 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        MixingMatrix(w)
+
+
+def test_caller_array_is_copied():
+    w = metropolis_weights(build_topology("ring", 5)).w.copy()
+    m = MixingMatrix(w)
+    w[0, 0] = 7.0
+    assert m.w[0, 0] != 7.0
+    assert not m.w.flags.writeable
+    np.testing.assert_array_equal(m.w, metropolis_weights(build_topology("ring", 5)).w)
+
+
+def test_weights_build_holds_one_dense_array():
+    # ER(1500) weights: W itself is 8 N^2 bytes.  No uniform draw, copy of W
+    # or W - W^T of that size may be held beside it.
+    n = 1500
+    tracemalloc.start()
+    try:
+        metropolis_weights(build_topology("erdos_renyi", n, seed=1, prob=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * n * n
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 9), ("path", 7), ("complete", 6),
