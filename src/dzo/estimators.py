@@ -13,10 +13,11 @@ that size the dense form, with 2 row dot products against 5, is the faster one.
 
 ``vr_estimate`` corrects the cached sweep at a frozen snapshot point (a
 ``SnapshotBlock`` row) on one coordinate; it is conditionally unbiased for
-the sweep at the iterate.  ``paper_faithful`` accounting re-queries the
-snapshot coordinate pair (4 fresh queries per row, 4 + 2dp on average with
-refresh probability p); ``cached`` serves it from the stored sweep
-(2 + 2dp).  Both modes return bit-identical estimates.
+the sweep at the iterate.  Both accounting modes read its snapshot term
+from the stored sweep, so their estimates are bit-identical by construction:
+``paper_faithful`` charges the snapshot coordinate pair as a re-query that
+the oracle answers from the sweep's held values (4 queries per row, 4 + 2dp
+on average with refresh probability p); ``cached`` does not (2 + 2dp).
 """
 
 from __future__ import annotations
@@ -127,44 +128,46 @@ def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: flo
 
 
 def _stencil(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
-             coords: np.ndarray) -> np.ndarray:
-    """The (n, m) central differences at row i along each coordinate in coords[i]."""
-    st, m = Stencil(x, u, coords), coords.shape[1]
-    vals = oracle.evaluate_rows(rows, st)
-    return (vals[:, :m] - vals[:, m:]) / (2.0 * st.u)
+             coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, m) central differences at row i along each coordinate in
+    coords[i], and the (n, 2, m) values they are taken from, + then -."""
+    st = Stencil(x, u, coords)
+    vals = oracle.evaluate_rows(rows, st).reshape(len(x), 2, coords.shape[1])
+    return (vals[:, 0] - vals[:, 1]) / (2.0 * st.u), vals
 
 
 def sweep(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray,
           u: float) -> np.ndarray:
     """Full coordinate sweep: the (n, d) estimate, 2d queries per row."""
-    return _stencil(oracle, rows, x, u, np.arange(x.shape[1])[None])
+    return _stencil(oracle, rows, x, u, np.arange(x.shape[1])[None])[0]
 
 
 def coord_pair(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u,
                l: np.ndarray) -> np.ndarray:
     """Central-difference quotient along coordinate l[i] at row i, u scalar or per row; (n,)."""
-    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[:, 0]
+    return _stencil(oracle, rows, x, u, np.asarray(l)[:, None])[0][:, 0]
 
 
 class SnapshotBlock:
-    """Per-agent snapshot points x_tilde, their radii u_tilde and the sweep
-    ``full`` taken there.
+    """Per-agent snapshot points x_tilde, their radii u_tilde, and the
+    values and quotients ``full`` of the sweep taken there.
 
-    full[i, l] is the coordinate-l quotient at (x_tilde[i], u_tilde[i]), so
-    coordinate terms at a snapshot need no new queries.
+    values[i, 0, l] and values[i, 1, l] are agent i's values at
+    x_tilde[i] ± u_tilde[i]·e_l, and full[i, l] their quotient, so
+    coordinate terms at a snapshot need no new evaluations.
     """
 
     def __init__(self, oracle: ZerothOrderOracle, x: np.ndarray, u: float):
-        self.x_tilde = x.copy()
-        self.u_tilde = np.full(len(x), float(u))
-        self.full = sweep(oracle, oracle.every_agent, x, u)
+        self.x_tilde, self.u_tilde = x.copy(), np.full(len(x), float(u))
+        self.full, self.values = _stencil(oracle, oracle.every_agent, x, u,
+                                          np.arange(x.shape[1])[None])
 
     def capture_rows(self, oracle: ZerothOrderOracle, rows: np.ndarray,
                      x_rows: np.ndarray, u: float) -> None:
         """Refresh the given agents' snapshots at (x_rows, u); 2d queries each."""
-        self.x_tilde[rows] = x_rows
-        self.u_tilde[rows] = u
-        self.full[rows] = sweep(oracle, rows, x_rows, u)
+        self.x_tilde[rows], self.u_tilde[rows] = x_rows, u
+        self.full[rows], self.values[rows] = _stencil(oracle, rows, x_rows, u,
+                                                      np.arange(x_rows.shape[1])[None])
 
 
 def vr_estimate(oracle: ZerothOrderOracle, snap: SnapshotBlock, x: np.ndarray, u: float,
@@ -174,15 +177,16 @@ def vr_estimate(oracle: ZerothOrderOracle, snap: SnapshotBlock, x: np.ndarray, u
     full(x_tilde) + d * (quotient(x, u, l) - quotient(x_tilde, u_tilde, l))
     on coordinate l[i].  Averaged uniformly over l this equals the sweep at
     (x, u).  The variance bound assumes u <= u_tilde, which non-increasing
-    schedules guarantee.
+    schedules guarantee.  The snapshot quotient is snap.full's; paper_faithful
+    also charges its pair, a re-query the oracle answers from snap.values.
     """
     d = x.shape[1]
     rows = oracle.every_agent
     q_x = coord_pair(oracle, rows, x, u, l)
     if counting_mode == "paper_faithful":
-        q_snap = coord_pair(oracle, rows, snap.x_tilde, snap.u_tilde, l)
-    else:
-        q_snap = snap.full[rows, l]
+        oracle.evaluate_rows(rows, Stencil(snap.x_tilde, snap.u_tilde, np.asarray(l)[:, None],
+                                           snap.values[rows, :, l]))
+    q_snap = snap.full[rows, l]
     g = snap.full.copy()
     g[rows, l] += d * q_x - d * q_snap
     return g

@@ -42,10 +42,12 @@ class Stencil:
     """The (B, 2m, d) points x[b] + u·e_l for l in coords[b], then x[b] - u·e_l,
     with coords (B, m) or (1, m) and u a scalar or one radius per row, kept (1, 1)
     or (B, 1).  Families evaluate it through their rank-1 structure; ``np.asarray``
-    builds the points.  Checked when built: coords that are not 2-D integers of 1
-    or B rows in [0, d) raise IndexError, other than 1 or B radii ValueError."""
+    builds the points.  held, if given, holds their (B, 2m) values, already taken:
+    the oracle charges the points and returns held without evaluating them.
+    Checked when built: coords that are not 2-D integers of 1 or B rows in [0, d)
+    raise IndexError, other than 1 or B radii or (B, 2m) held values ValueError."""
 
-    def __init__(self, x: np.ndarray, u, coords: np.ndarray):
+    def __init__(self, x: np.ndarray, u, coords: np.ndarray, held: np.ndarray | None = None):
         n, d = x.shape
         self.x, self.coords, self.u = x, coords, np.asarray(u, dtype=float).reshape(-1, 1)
         if coords.ndim != 2 or coords.shape[0] not in (1, n) or (coords.size and (
@@ -54,6 +56,9 @@ class Stencil:
         if self.u.shape[0] not in (1, n):
             raise ValueError(f"need 1 or {n} radii, got {self.u.shape[0]}")
         self.shape = (n, 2 * coords.shape[1], d)
+        if held is not None and held.shape != self.shape[:2]:
+            raise ValueError(f"held values must be {self.shape[:2]}, got {held.shape}")
+        self.held = held
 
     def take(self, a: np.ndarray) -> np.ndarray:
         """a[b, coords[b, j]] for a (B, d) array; (B, m)."""
@@ -130,12 +135,17 @@ class Benchmark(ObjectiveSpec):
         return self.alpha[agents][:, None] * _sigmoid(st.pm(t, st.take(z))) \
             + self.beta[agents][:, None] * np.log1p(st.pm(sq, 2.0 * st.take(st.x)))
 
+    @cached_property
+    def _two_beta_sum(self) -> np.float64:
+        """2 sum_i beta_i, the log terms' gradient weight, computed on first read."""
+        return 2.0 * self.beta.sum()
+
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         # Stacked matmuls with a unit axis make the gemv and dot calls of one point.
         sig = _sigmoid(np.matmul(self.zeta, x[..., None])[..., 0] + self.v)
         xx = np.matmul(x[..., None, :], x[..., None])[..., 0]
         return (np.matmul((self.alpha * sig * (1.0 - sig))[..., None, :], self.zeta)[..., 0, :]
-                + (2.0 * self.beta.sum() / (1.0 + xx)) * x) / self.n_agents
+                + (self._two_beta_sum / (1.0 + xx)) * x) / self.n_agents
 
     def smoothness(self) -> float:
         """max_i |alpha_i| |zeta_i|^2 / (6 sqrt(3)) + 2 |beta_i|: |sigmoid''| peaks
@@ -268,7 +278,8 @@ class ZerothOrderOracle:
         """Batched queries: points[b, m, :] against agent agents[b]; (B, m).
 
         points is a (B, m, d) array or a :class:`Stencil` (checked when built);
-        each of its m points charges one query to the owning agent.  Rows that
+        each of its m points charges one query to the owning agent, and a
+        stencil's held values are returned unevaluated, as a re-query.  Rows that
         are not a 1-D integer array, or a row outside [0, N), raise IndexError
         and points of another shape ValueError, before any query is charged.
         every_agent itself, recognised by identity, needs no row checks or
@@ -283,9 +294,9 @@ class ZerothOrderOracle:
                                  f"of shape {agents.shape}")
             agents = agents.astype(np.int64, copy=False)
         if isinstance(points, Stencil):
-            values = self.spec.stencil_values
+            values, held = self.spec.stencil_values, points.held
         else:
-            values, points = self.spec.values, np.asarray(points, dtype=float)
+            values, points, held = self.spec.values, np.asarray(points, dtype=float), None
         shape = points.shape
         if len(shape) != 3 or shape[0] != agents.shape[0] or shape[2] != self.spec.dim:
             raise ValueError(f"points must be (B, m, {self.spec.dim}) with B = "
@@ -299,4 +310,4 @@ class ZerothOrderOracle:
                                  f"got {agents.min()}")
             np.add.at(self.query_count, agents, shape[1])
         self.total_queries += shape[0] * shape[1]
-        return values(agents, points)
+        return values(agents, points) if held is None else held

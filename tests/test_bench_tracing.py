@@ -5,6 +5,8 @@ as a silently empty per-layer metric."""
 
 from pathlib import Path
 
+import pytest
+
 import dzo
 from dzo.algorithms import ALGORITHMS
 from dzo.harness import ExperimentConfig, run_config
@@ -39,3 +41,32 @@ def test_tracer_sees_every_layer(monkeypatch):
     assert tracer.counts["oracle.queries"] == sum(row.m for row in finals)
     assert (dzo.oracle.ZerothOrderOracle.evaluate_rows, dzo.algorithms.vrgt_step,
             dzo.algorithms.metropolis_weights, dzo.harness.build_topology) == originals
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("counting_mode", ["paper_faithful", "cached"])
+def test_tracer_counts_vrgt_queries_with_and_without_the_charged_pair(monkeypatch,
+                                                                      counting_mode, p):
+    # paper_faithful's snapshot pair is charged through evaluate_rows, so the
+    # tracer counts it as a pair call; cached charges no pair at the snapshot.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    n, d, rounds = 4, 5, 3
+    tracer = spans.Tracer()
+    spans.install(tracer, dzo)
+    try:
+        final = run_config(ExperimentConfig(
+            topology_kind="ring", topology_n=n, topology_seed=0,
+            objective_kind="benchmark", objective_dim=d, objective_seed=1,
+            algorithm="vrgt", step_size=0.05, p=p, counting_mode=counting_mode,
+            stop_kind="rounds", stop_limit=rounds, seed=2))[-1]
+    finally:
+        tracer.unpatch()
+    _, _, calls = tracer.totals()
+    pairs = 2 if counting_mode == "paper_faithful" else 1
+    assert tracer.counts["oracle.queries"] == final.m
+    assert calls["oracle.pair"] == pairs * rounds
+    if p == 0.0:
+        assert calls["oracle.sweep"] == 1
+        assert final.m == 2 * d * n + 2 * pairs * n * rounds

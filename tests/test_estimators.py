@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dzo.algorithms import Schedule, init_vrgt, vrgt_step
 from dzo.estimators import SnapshotBlock, coord_pair, sphere, sweep, two_point, vr_estimate
+from dzo.network import build_topology, metropolis_weights
 from dzo.oracle import (FAMILIES, Linear, Stencil, ZerothOrderOracle, make_benchmark,
                         make_linear)
 from reference import analytic_grad, diagonal_quadratic, stencil_points, dense_stencil
@@ -334,21 +336,62 @@ def test_stencil_matches_dense_points(kind, shape):
     assert worst <= STENCIL_TOL, worst
 
 
+def assert_held_values_are_fresh(spec, snap):
+    """snap.values equals, byte for byte, a fresh evaluation of every agent's
+    sweep points and of one coordinate pair per agent at (x_tilde, u_tilde)."""
+    n, d = snap.x_tilde.shape
+    fresh = ZerothOrderOracle(spec)
+    sweep_vals = fresh.evaluate_rows(fresh.every_agent,
+                                     Stencil(snap.x_tilde, snap.u_tilde, np.arange(d)[None]))
+    assert sweep_vals.reshape(n, 2, d).tobytes() == snap.values.tobytes()
+    l = np.random.default_rng(d).integers(0, d, n)
+    pair_vals = fresh.evaluate_rows(fresh.every_agent,
+                                    Stencil(snap.x_tilde, snap.u_tilde, l[:, None]))
+    assert pair_vals.tobytes() == snap.values[np.arange(n), :, l].tobytes()
+    quotient = (snap.values[:, 0] - snap.values[:, 1]) / (2.0 * snap.u_tilde[:, None])
+    assert quotient.tobytes() == snap.full.tobytes()
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_snapshot_pair_after_a_subset_refresh_is_the_stored_sweep(kind):
-    # paper_faithful re-queries the snapshot pair of every agent in order,
-    # while the sweep it must reproduce ran on a gathered subset of rows, so
-    # each family computes its per-row terms at two batch shapes.
+    # paper_faithful charges every agent's snapshot pair, in order, and is
+    # answered from values a sweep took on a gathered subset of rows, so each
+    # family must give its per-row terms alike at two batch shapes.
     n, d = 8, 300
     spec = FAMILIES[kind](n, d, seed=5)
     rng = np.random.default_rng(3)
     oracle = ZerothOrderOracle(spec)
     snap = SnapshotBlock(oracle, rng.standard_normal((n, d)), 0.2)
-    hit = np.array([6, 1, 4])
-    snap.capture_rows(oracle, hit, rng.standard_normal((len(hit), d)), 0.05)
-    rows, l = np.arange(n), rng.integers(0, d, n)
-    got = coord_pair(oracle, rows, snap.x_tilde, snap.u_tilde, l)
-    assert got.tobytes() == snap.full[rows, l].tobytes()
+    assert_held_values_are_fresh(spec, snap)
+    for hit, u in ((np.array([6, 1, 4]), 0.05), (np.array([3]), 0.01), (np.arange(n), 0.005)):
+        snap.capture_rows(oracle, hit, rng.standard_normal((len(hit), d)), u)
+        rows, l = np.arange(n), rng.integers(0, d, n)
+        got = coord_pair(ZerothOrderOracle(spec), rows, snap.x_tilde, snap.u_tilde, l)
+        assert got.tobytes() == snap.full[rows, l].tobytes()
+        assert_held_values_are_fresh(spec, snap)
+    assert oracle.total_queries == 2 * d * (2 * n + 4)
+
+
+@pytest.mark.parametrize("counting_mode", ["paper_faithful", "cached"])
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_held_values_are_a_fresh_evaluation_at_every_round(kind, counting_mode):
+    n, d, p = 6, 12, 0.3
+    spec = FAMILIES[kind](n, d, seed=2)
+    w, sch = metropolis_weights(build_topology("ring", n)), Schedule(step_size=0.01)
+    oracle = ZerothOrderOracle(spec)
+    x0 = 0.5 * np.random.default_rng(1).standard_normal((n, d))
+    state = init_vrgt(oracle, x0, sch, np.random.default_rng(4), p, counting_mode)
+    snap, per_pair = state.snapshots, 4 if counting_mode == "paper_faithful" else 2
+    refreshed = np.zeros(n, dtype=np.int64)
+    for _ in range(12):
+        before = snap.x_tilde.copy()
+        vrgt_step(state, w, sch)
+        refreshed += np.any(snap.x_tilde != before, axis=1)
+        assert_held_values_are_fresh(spec, snap)
+        # Each agent's own counter gets its pairs every round and 2d per refresh.
+        np.testing.assert_array_equal(oracle.query_count,
+                                      2 * d + per_pair * state.k + 2 * d * refreshed)
+    assert 0 < refreshed.sum() < 12 * n
 
 
 def test_stencil_rejects_rows_that_do_not_match_the_points():
@@ -371,6 +414,18 @@ def test_coord_pair_rejects_a_malformed_stencil_before_any_query():
     with pytest.raises(ValueError, match="radii"):
         coord_pair(oracle, rows, x, np.full(2, 0.5), np.arange(3))
     assert oracle.total_queries == 0
+
+
+def test_stencil_rejects_held_values_of_another_shape_before_any_query():
+    oracle = ZerothOrderOracle(make_linear(3, 4, seed=0))
+    x, every = np.zeros((3, 4)), oracle.every_agent
+    for coords, held in ((np.arange(3)[:, None], np.zeros((3, 1))),    # one value per pair
+                         (np.arange(3)[:, None], np.zeros((2, 2))),    # 2 rows for 3
+                         (np.arange(3)[:, None], np.zeros((3, 2, 1))),
+                         (np.arange(4)[None], np.zeros((3, 2)))):      # a pair's for a sweep
+        with pytest.raises(ValueError, match="held values"):
+            oracle.evaluate_rows(every, Stencil(x, 0.5, coords, held))
+    assert oracle.total_queries == 0 and not oracle.query_count.any()
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))

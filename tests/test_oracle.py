@@ -246,6 +246,22 @@ def test_total_queries_is_the_sum_of_the_counters():
     assert oracle.total_queries == oracle.query_count.sum() == 53
 
 
+def test_held_values_are_charged_like_their_points_and_not_evaluated():
+    oracle = ZerothOrderOracle(make_linear(4, 3, seed=0))
+    held = np.arange(8.0).reshape(4, 2)   # not the linear objective's values
+    pair = Stencil(np.zeros((4, 3)), 0.1, np.array([[0], [1], [2], [0]]), held)
+    assert oracle.evaluate_rows(oracle.every_agent, pair) is held
+    swept = Stencil(np.zeros((3, 3)), np.array([0.1, 0.2, 0.3]), np.arange(3)[None],
+                    np.full((3, 6), 7.0))
+    np.testing.assert_array_equal(oracle.evaluate_rows(np.array([2, 2, 0]), swept), 7.0)
+    for rows in (np.array([0, 4]), np.array([[0, 1]]), np.array([0.0, 1.0]), np.arange(3)):
+        with pytest.raises((IndexError, ValueError)):
+            oracle.evaluate_rows(rows, Stencil(np.zeros((2, 3)), 0.1, np.zeros((1, 1), dtype=int),
+                                               np.zeros((2, 2))))
+    np.testing.assert_array_equal(oracle.query_count, [8, 2, 14, 2])
+    assert oracle.total_queries == oracle.query_count.sum() == 26
+
+
 @pytest.mark.parametrize("maker", [
     lambda: make_benchmark(4, 3, seed=5),
     lambda: replace(make_quadratic(4, 3, seed=5),
