@@ -104,7 +104,8 @@ class StopRule:
 @dataclass(eq=False)
 class RunState:
     """Mutable state of one run.  A run owns its oracle, its rng stream,
-    for dgd2p the stream of directions drawn from it and, for vrgt, its
+    for dgd2p the stream of directions drawn from it (with its worker
+    thread, joined when the stream is closed) and, for vrgt, its
     refresh probability and counting mode: every step reads them from here,
     and init_vrgt runs check_policy before any query.  Its array fields make
     it compare by identity."""
@@ -217,8 +218,8 @@ class _Stack:
 
 def init_dgd2p(oracle: ZerothOrderOracle, x0: np.ndarray,
                rng: np.random.Generator) -> RunState:
-    """The directions are drawn in line, a block at a time, as the rounds
-    take them; ``run`` swaps in a stream drawn ahead on a worker thread."""
+    """The directions stream starts its worker thread at the first round and
+    joins it when closed or dropped: close ``state.directions`` when done."""
     return RunState(k=0, x=x0.copy(), oracle=oracle, rng=rng,
                     directions=directions(rng, *x0.shape))
 
@@ -308,12 +309,12 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
 
     The trajectory is fully determined by the arguments: the master seed
     derives one stream for the initial point and one consumed by the rounds
-    in a fixed order.  dgd2p's directions are drawn a block ahead on one
-    worker thread, the only user of that stream, so the order is the
-    in-line one; the thread is joined before run returns or raises.  An
-    error in the block drawn ahead but never used is raised too, unless the
-    run is already raising its own.  All
-    agents start from the same point unless heterogeneous_x0 is set.  A
+    in a fixed order.  dgd2p's direction stream draws a block ahead on its
+    own worker thread, the only user of that stream, so the order is that
+    of successive sphere draws; run closes the stream, joining the thread,
+    before it returns or raises.  An error in the block drawn ahead but
+    never used is raised too, unless the run is already raising its own.
+    All agents start from the same point unless heterogeneous_x0 is set.  A
     queries stop rule that initialization alone meets raises ValueError,
     since no round would run.
     """
@@ -344,11 +345,6 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
         raise ValueError(f"{algorithm} initialization costs {oracle.total_queries} queries, "
                          f"which already meets the stop limit of {stop.limit}")
 
-    pool = None
-    if algorithm == "dgd2p":
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by `import dzo`
-        pool = ThreadPoolExecutor(max_workers=1)
-        state.directions = directions(rng, *x0.shape, pool)
     rows: list[MetricsRow] = []
     stack = _Stack(state)
     try:
@@ -357,14 +353,10 @@ def run(algorithm: str, topology: Topology, spec: ObjectiveSpec,
             rows += stack.push(state)
         rows += stack.flush()
     except BaseException:
-        if pool is not None:
+        if state.directions is not None:
             with contextlib.suppress(Exception):   # the run's own error is the one raised
                 state.directions.close()
         raise
-    else:
-        if pool is not None:
-            state.directions.close()   # raises an error of the block drawn in flight
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if state.directions is not None:
+        state.directions.close()   # joins its worker; raises an error of the block in flight
     return rows

@@ -85,34 +85,34 @@ def mapped(*shape: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
-def directions(rng: np.random.Generator, n: int, d: int, pool=None) -> Iterator[np.ndarray]:
+def directions(rng: np.random.Generator, n: int, d: int) -> Iterator[np.ndarray]:
     """Endless per-round (n, d) unit directions, bit for bit those of
     successive sphere(rng, n, d) calls.
 
     Each block of about BLOCK_BYTES of rounds is one draw and one
-    normalisation.  With an executor as pool, its one worker draws the next
-    block while the current one is consumed, and is then the only caller of
-    rng; a worker's exception surfaces from next(), or from close() when
+    normalisation.  The stream owns one worker thread, opened at its first
+    next() and joined when the stream is closed or finalised; it draws the
+    next block while the current one is consumed and is the only caller of
+    rng.  A worker's exception surfaces from next(), or from close() when
     it was raised drawing the block in flight.  Each round is yielded as a
     copy, so it stays valid while the block buffers are reused."""
+    from concurrent.futures import ThreadPoolExecutor   # not loaded by `import dzo`
+
     rounds = max(1, BLOCK_BYTES // (8 * n * d))
-    ready, sq = mapped(rounds, n, d), mapped(-(-rounds // SQUARE_PARTS), n, d)
-    if pool is None:
-        while True:
-            for z in _fill_block(rng, ready, sq):
-                yield z.copy()
-    spare = mapped(rounds, n, d)
-    pending = pool.submit(_fill_block, rng, ready, sq)
-    try:
-        while True:
-            ready = pending.result()
-            pending = pool.submit(_fill_block, rng, spare, sq)
-            for z in ready:
-                yield z.copy()
-            spare = ready
-    except GeneratorExit:
-        pending.result()
-        raise
+    ready, spare = mapped(rounds, n, d), mapped(rounds, n, d)
+    sq = mapped(-(-rounds // SQUARE_PARTS), n, d)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(_fill_block, rng, ready, sq)
+        try:
+            while True:
+                ready = pending.result()
+                pending = pool.submit(_fill_block, rng, spare, sq)
+                for z in ready:
+                    yield z.copy()
+                spare = ready
+        except GeneratorExit:
+            pending.result()
+            raise
 
 
 def two_point(oracle: ZerothOrderOracle, rows: np.ndarray, x: np.ndarray, u: float,

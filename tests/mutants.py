@@ -175,10 +175,10 @@ MUTANTS = (
            "tests/test_algorithms.py::test_dgd2p_single_agent_linear"),
     Mutant("fallback keeps the advanced generator state", EST,
            "rng.bit_generator.state = state", "pass",
-           "tests/test_directions.py::test_zero_row_block_falls_back_to_sphere[False]"),
+           "tests/test_directions.py::test_zero_row_block_falls_back_to_sphere"),
     Mutant("closing the stream drops the in-flight draw", EST,
-           "    except GeneratorExit:\n        pending.result()\n",
-           "    except GeneratorExit:\n",
+           "        except GeneratorExit:\n            pending.result()\n",
+           "        except GeneratorExit:\n",
            "tests/test_directions.py::test_unused_block_error_surfaces_from_run"),
     Mutant("an unused block's error masks the run's own", ALG,
            "with contextlib.suppress(Exception):", "with contextlib.nullcontext():",

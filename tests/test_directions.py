@@ -1,33 +1,28 @@
-"""dgd2p's direction stream: bit for bit the per-round sphere draws, in line
-or drawn ahead on a worker thread, and no worker outlives ``run``."""
+"""dgd2p's direction stream: bit for bit the per-round sphere draws, drawn
+a block ahead on a worker thread that the stream owns and joins when it is
+closed or dropped, so no worker outlives ``run`` or a hand-stepped state."""
 
+import gc
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import dzo.algorithms as alg
 import dzo.estimators as est
-from dzo.algorithms import Schedule, StopRule, run
+from dzo.algorithms import Schedule, StopRule, dgd2p_step, init_dgd2p, run
 from dzo.estimators import BLOCK_BYTES, directions, sphere
-from dzo.network import build_topology
-from dzo.oracle import make_benchmark
+from dzo.network import build_topology, metropolis_weights
+from dzo.oracle import ZerothOrderOracle, make_benchmark
 
 
 def block_rounds(n, d):
     return max(1, BLOCK_BYTES // (8 * n * d))
 
 
-def worker(pooled):
-    return ThreadPoolExecutor(max_workers=1) if pooled else nullcontext()
-
-
-@pytest.mark.parametrize("pooled", [False, True])
 @pytest.mark.parametrize("n, d", [(50, 64), (1000, 16)])
-def test_stream_equals_per_round_sphere(n, d, pooled):
+def test_stream_equals_per_round_sphere(n, d):
     count = 3 * block_rounds(n, d) + 1
     ref = np.random.default_rng(11)
     want = [sphere(ref, n, d) for _ in range(count)]
@@ -35,9 +30,9 @@ def test_stream_equals_per_round_sphere(n, d, pooled):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)   # pass the interpreter lock between threads often
     try:
-        with worker(pooled) as pool:
-            stream = directions(rng, n, d, pool)
-            got = [next(stream) for _ in range(count)]   # every array kept alive
+        stream = directions(rng, n, d)
+        got = [next(stream) for _ in range(count)]   # every array kept alive
+        stream.close()
     finally:
         sys.setswitchinterval(interval)
     assert all(g.shape == (n, d) and g.tobytes() == w.tobytes() for g, w in zip(got, want))
@@ -62,22 +57,55 @@ class ZeroRowBlock:
         return out
 
 
-@pytest.mark.parametrize("pooled", [False, True])
-def test_zero_row_block_falls_back_to_sphere(pooled):
+def test_zero_row_block_falls_back_to_sphere():
     n, d = 4, 3
     count = block_rounds(n, d)
     ref = np.random.default_rng(5)
     want = [sphere(ref, n, d) for _ in range(count)]
     rng = ZeroRowBlock(5)
-    with worker(pooled) as pool:
-        stream = directions(rng, n, d, pool)
-        got = [next(stream) for _ in range(count)]
+    stream = directions(rng, n, d)
+    got = [next(stream) for _ in range(count)]
+    stream.close()
     assert rng.zeroed
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-    if pooled:   # the worker has drawn the next block too, without a zero row
-        for _ in range(count):
-            sphere(ref, n, d)
+    for _ in range(count):   # the worker has drawn the next block too, without a zero row
+        sphere(ref, n, d)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def hand_stepped(rounds):
+    """An init_dgd2p state of 6 agents in R^5 stepped by hand for the given
+    number of rounds."""
+    n, d = 6, 5
+    state = init_dgd2p(ZerothOrderOracle(make_benchmark(n, d, seed=2)), np.zeros((n, d)),
+                       np.random.default_rng(0))
+    w, schedule = metropolis_weights(build_topology("ring", n)), Schedule(step_size=0.05)
+    for _ in range(rounds):
+        dgd2p_step(state, w, schedule)
+    return state
+
+
+def test_unstepped_state_starts_no_thread():
+    before = threading.active_count()
+    hand_stepped(0)
+    assert threading.active_count() == before
+
+
+def test_hand_stepped_stream_joins_its_worker_when_closed():
+    before = threading.active_count()
+    state = hand_stepped(block_rounds(6, 5) + 1)
+    assert threading.active_count() == before + 1
+    state.directions.close()
+    assert threading.active_count() == before
+
+
+def test_hand_stepped_stream_joins_its_worker_when_dropped():
+    before = threading.active_count()
+    state = hand_stepped(block_rounds(6, 5) + 1)
+    assert threading.active_count() == before + 1
+    del state   # dropped unclosed: the stream is finalised
+    gc.collect()
+    assert threading.active_count() == before
 
 
 def dgd2p_run(rounds=20):
@@ -149,8 +177,8 @@ class FailingDraw:
 def fail_second_block(monkeypatch):
     # The first block covers every round of dgd2p_run(block_rounds(6, 5)),
     # so the failing draw is the one in flight when the rounds end.
-    monkeypatch.setattr(alg, "directions", lambda rng, n, d, pool=None:
-                        directions(FailingDraw(rng, 2), n, d, pool))
+    monkeypatch.setattr(alg, "directions", lambda rng, n, d:
+                        directions(FailingDraw(rng, 2), n, d))
 
 
 def test_unused_block_error_surfaces_from_run(monkeypatch):
