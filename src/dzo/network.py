@@ -22,6 +22,7 @@ _ROW_BLOCK = 64
 # apply() uses the neighbour list when this many times the widest row's
 # nonzero count still fits in N (see MixingMatrix).
 _ELL_SPARSITY = 20
+_MIX_BLOCK = 128   # rows per block of the degree-sorted neighbour list
 _ER_MAX_TRIES = 100
 
 
@@ -90,15 +91,16 @@ class MixingMatrix:
 
     `w` is always the dense matrix; `apply` (alias `mix`) is the one checked
     product with a stacked (N, d) state.  On first use it fixes the product
-    from W's fill: with K the largest number of nonzeros in a row, a padded
-    neighbour list (ELL: K column indices and weights per row) when
-    20·K <= N, else the dense BLAS product.  The rule rests on single-thread
-    medians measured on Erdős–Rényi graphs: at N=1000, K=24 (d=16) the
-    neighbour list mixes in 0.5 ms against 1.4 ms dense; at N=200, K=18
-    (d=32) the two tie at ~90 µs; at N=50, K=17 (d=64) dense wins, 10 µs to
-    36 µs.  The two products agree to rounding (3e-16 relative on those
-    graphs); the dense one is exactly `w @ x`.  Like the objective specs, a
-    MixingMatrix compares and hashes by identity.
+    from W's fill: with K the largest number of nonzeros in a row, a
+    neighbour list when 20·K <= N, else the dense BLAS product.  The list
+    holds the rows sorted by nonzero count in blocks of 128, each padded
+    only to its own widest row.  The rule rests on single-thread medians on
+    Erdős–Rényi graphs: at N=1000, K=24 (d=16) the list mixes in 0.2 ms
+    against 0.9-1.3 ms dense; at N=200, K=18 (d=32) dense wins, 50 µs to
+    62 µs; at N=50, K=17 (d=64) dense wins, 6 µs to 32 µs.  The products
+    agree to rounding (2e-16 relative on those graphs); the dense one is
+    exactly `w @ x`.  Like the objective specs, a MixingMatrix compares and
+    hashes by identity.
     """
 
     w: np.ndarray
@@ -139,21 +141,26 @@ class MixingMatrix:
         return self.w.shape[0]
 
     @cached_property
-    def _neighbours(self) -> tuple[np.ndarray, np.ndarray] | None:
-        # ELL layout, or None for the dense product.  Rows with fewer than K
-        # nonzeros are padded with their own index at weight 0.
-        n = self.n_agents
-        rows, cols = np.nonzero(self.w)
-        counts = np.bincount(rows, minlength=n)
-        k = int(counts.max())
-        if _ELL_SPARSITY * k > n:
+    def _neighbours(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None:
+        # None for the dense product, else the rows sorted by nonzero count in
+        # _MIX_BLOCK-row ELL blocks as wide as their widest row (narrower rows
+        # pad with their own index at weight 0), and the inverse permutation.
+        counts = np.count_nonzero(self.w, axis=1)
+        if _ELL_SPARSITY * int(counts.max()) > self.n_agents:
             return None
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.repeat(np.arange(n)[:, None], k, axis=1)
-        idx[rows, slot] = cols
-        wts = np.zeros((n, 1, k))
-        wts[rows, 0, slot] = self.w[rows, cols]
-        return idx, wts
+        order = np.argsort(counts, kind="stable")
+        blocks = []
+        for r in range(0, self.n_agents, _MIX_BLOCK):
+            rows = order[r:r + _MIX_BLOCK]
+            nnz = counts[rows]
+            i, j = np.nonzero(self.w[rows])
+            slot = np.arange(i.size) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+            idx = np.repeat(rows[:, None], nnz[-1], axis=1)
+            idx[i, slot] = j
+            wts = np.zeros(idx.shape)[:, None]
+            wts[i, 0, slot] = self.w[rows[i], j]
+            blocks.append((idx, wts))
+        return np.argsort(order), blocks
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One consensus round: output row i is sum_j W[i,j] * row j of the
@@ -166,8 +173,11 @@ class MixingMatrix:
         ell = self._neighbours
         if ell is None:
             return self.w @ x
-        idx, wts = ell
-        return np.matmul(wts, np.take(x, idx, axis=0))[:, 0]
+        inverse, blocks = ell
+        out = np.empty((self.n_agents, 1, x.shape[1]))
+        for r, (idx, wts) in zip(range(0, self.n_agents, _MIX_BLOCK), blocks):
+            np.matmul(wts, np.take(x, idx, axis=0), out=out[r:r + len(idx)])
+        return np.take(out[:, 0], inverse, axis=0)
 
 
 def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:

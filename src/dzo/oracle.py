@@ -181,6 +181,11 @@ class Quadratic(ObjectiveSpec):
         the network gradient at x is the first times x minus the second."""
         return self.quad.mean(axis=0), np.einsum("nij,nj->i", self.quad, self.shift) / self.n_agents
 
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """Each Q_i's diagonal as one contiguous (N, d) array, made on first read."""
+        return np.diagonal(self.quad, axis1=1, axis2=2).copy()
+
     def values(self, agents: np.ndarray, points: np.ndarray) -> np.ndarray:
         quad, shift = self.quad[agents], self.shift[agents]
         diff = points - shift[:, None, :]
@@ -193,7 +198,7 @@ class Quadratic(ObjectiveSpec):
         diff = st.x - shift
         dq = np.matmul(diff[:, None, :], quad)[:, 0]
         base = 0.5 * np.einsum("bi,bi->b", diff, dq)[:, None]
-        curve = 0.5 * st.u * st.u * st.take(np.diagonal(quad, axis1=1, axis2=2))
+        curve = 0.5 * st.u * st.u * st.take(self._diagonal[agents])
         return st.pm(base, st.take(dq)) + np.tile(curve, 2)
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:

@@ -84,9 +84,15 @@ MUTANTS = (
     Mutant("Metropolis weight with summed degree", NET, "np.maximum(deg[i], deg[j])",
            "(deg[i] + deg[j])",
            "tests/test_differential.py::test_run_matches_per_agent_replay"),
-    Mutant("ELL padding weight 1", NET, "wts = np.zeros((n, 1, k))",
-           "wts = np.ones((n, 1, k))",
+    Mutant("ELL padding weight 1", NET, "wts = np.zeros(idx.shape)[:, None]",
+           "wts = np.ones(idx.shape)[:, None]",
            "tests/test_differential.py::test_run_matches_per_agent_replay"),
+    Mutant("blocks not restored to agent order", NET,
+           "return np.take(out[:, 0], inverse, axis=0)", "return out[:, 0]",
+           "tests/test_network.py::test_apply_matches_dense_product"),
+    Mutant("block width taken from its first row", NET,
+           "np.repeat(rows[:, None], nnz[-1], axis=1)", "np.repeat(rows[:, None], nnz[0], axis=1)",
+           "tests/test_network.py::test_apply_matches_dense_product"),
     Mutant("weight checks skip the last row block", NET,
            "for r in range(0, len(w), _ROW_BLOCK):",
            "for r in range(0, len(w) - _ROW_BLOCK, _ROW_BLOCK):",

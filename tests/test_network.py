@@ -245,6 +245,41 @@ def test_apply_matches_dense_product(name):
         np.testing.assert_array_equal(mix(w, x), got)
 
 
+@pytest.mark.parametrize("name", ["er1000", "path200", "star_path200"])
+def test_neighbour_blocks_hold_each_row_once_at_its_blocks_width(name):
+    # path200 has degree-1 rows; star_path200 one wide row among narrow ones.
+    w = metropolis_weights(MIX_CASES[name][0])
+    n = w.n_agents
+    inverse, blocks = w._neighbours
+    np.testing.assert_array_equal(np.sort(inverse), np.arange(n))
+    assert sum(len(idx) for idx, _ in blocks) == n
+    order = np.argsort(inverse)   # agent held at each stored row
+    counts = np.count_nonzero(w.w, axis=1)
+    assert np.all(np.diff(counts[order]) >= 0)
+    start = 0
+    for idx, wts in blocks:
+        agents = order[start:start + len(idx)]
+        start += len(idx)
+        assert wts.shape == (len(idx), 1, idx.shape[1])
+        assert idx.shape[1] == counts[agents].max()
+        np.testing.assert_allclose(wts.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+        for agent, cols, row_wts in zip(agents, idx, wts[:, 0]):
+            np.testing.assert_array_equal(np.bincount(cols, row_wts, minlength=n), w.w[agent])
+
+
+@pytest.mark.parametrize("name", ["er1000", "path200", "star_path200", "ring8"])
+def test_apply_returns_independent_arrays(name):
+    w = metropolis_weights(MIX_CASES[name][0])
+    weights = w.w.copy()
+    x = np.random.default_rng(2).standard_normal((w.n_agents, 5))
+    a, b = w.apply(x), w.apply(x)
+    kept = b.copy()
+    a[:] = np.nan
+    np.testing.assert_array_equal(b, kept)
+    np.testing.assert_array_equal(w.w, weights)
+    np.testing.assert_array_equal(w.apply(x), kept)
+
+
 def test_mix_shape_mismatch():
     # One check, one error, through apply and through mix, for both
     # products: ring(4) and ring(10) mix dense, path(200) and ring(100)
